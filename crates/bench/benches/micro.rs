@@ -141,13 +141,11 @@ const ROW: ExecOptions = ExecOptions {
     vectorized: false,
     threads: 1,
     cancel: None,
-    reprice: None,
 };
 const VECTORIZED: ExecOptions = ExecOptions {
     vectorized: true,
     threads: 1,
     cancel: None,
-    reprice: None,
 };
 
 /// One-table scan → filter → aggregate plan over a cache store.
@@ -290,7 +288,6 @@ fn parallel_scaling(c: &mut Criterion) {
             vectorized: true,
             threads,
             cancel: None,
-            reprice: None,
         };
         group.bench_function(&format!("columnar_filter_agg_t{threads}"), |b| {
             b.iter(|| black_box(execute_with(&col_plan, &options).unwrap().values))
@@ -302,7 +299,6 @@ fn parallel_scaling(c: &mut Criterion) {
             vectorized: true,
             threads,
             cancel: None,
-            reprice: None,
         };
         group.bench_function(&format!("rowstore_filter_agg_t{threads}"), |b| {
             b.iter(|| black_box(execute_with(&row_plan, &options).unwrap().values))
@@ -328,7 +324,6 @@ fn parallel_scaling(c: &mut Criterion) {
             vectorized: true,
             threads,
             cancel: None,
-            reprice: None,
         };
         group.bench_function(&format!("dremel_element_filter_agg_t{threads}"), |b| {
             b.iter(|| black_box(execute_with(&dremel_plan, &options).unwrap().values))

@@ -39,7 +39,7 @@
 use recache_bench::args::Args;
 use recache_bench::concurrent::replay_concurrent;
 use recache_bench::loadgen::{run_load, LoadConfig, LoadReport};
-use recache_core::{QueryRequest, ReCache, SharedScanConfig};
+use recache_core::{QueryRequest, ReCache};
 use recache_data::gen::tpch;
 use recache_data::{csv as data_csv, json as data_json, FileFormat, RawFile};
 use recache_engine::exec::{execute_with, ExecOptions};
@@ -51,8 +51,8 @@ use recache_server::{Server, ServerConfig};
 use recache_types::{DataType, Field, FieldPath, Schema, Value};
 use recache_workload::{mixed_spa_workload, Domains, SpaConfig};
 use std::hint::black_box;
-use std::sync::{Arc, Barrier};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Instant;
 
 struct BenchResult {
     name: &'static str,
@@ -132,7 +132,6 @@ fn family(
         vectorized: false,
         threads: 1,
         cancel: None,
-        reprice: None,
     };
     let row_ns = run_case(plan, &row, samples);
     out.push(BenchResult {
@@ -147,7 +146,6 @@ fn family(
             vectorized: true,
             threads,
             cancel: None,
-            reprice: None,
         };
         let ns = run_case(plan, &options, samples);
         out.push(BenchResult {
@@ -198,7 +196,6 @@ fn raw_family(
         vectorized: false,
         threads: 1,
         cancel: None,
-        reprice: None,
     };
     // First-scan family: reset inside the timed closure (the newline
     // index rebuild is part of the batched path's cost, as tokenizing to
@@ -219,7 +216,6 @@ fn raw_family(
             vectorized: true,
             threads,
             cancel: None,
-            reprice: None,
         };
         let ns = measure(samples, 2, || {
             file.reset_scan_state();
@@ -534,93 +530,6 @@ fn result_cache_family(sf: f64, samples: usize, out: &mut Vec<BenchResult>) -> (
     (off_ns / on_ns, c.result_hits as f64 / probes as f64)
 }
 
-/// The `shared_scan_overlap` trajectory mode: K pairwise-overlapping
-/// (non-subsuming) range queries hit one *cold* raw lineitem source from
-/// K concurrent threads — once with shared multi-predicate scans
-/// disabled (every query pays its own raw pass) and once enabled (the
-/// rendezvous batches them into fewer passes). Every sample rebuilds the
-/// session: the cold first pass is exactly what sharing amortizes. The
-/// derived `shared_scan_raw_passes_saved_ratio` is read from the enabled
-/// session's counters — `(participants − passes) / K`, the fraction of
-/// raw scans the rendezvous removed (best sample kept; the window is
-/// timing-dependent). Rows and ratio are recorded for the trajectory but
-/// not gated.
-fn shared_scan_family(sf: f64, samples: usize, out: &mut Vec<BenchResult>) -> f64 {
-    let (_, lineitems) = tpch::gen_orders_and_lineitems(sf, 42);
-    let li_schema = tpch::lineitem_schema();
-    let li_bytes = data_csv::write_csv(&li_schema, &lineitems);
-    let queries: Vec<String> = (0..4u32)
-        .map(|i| {
-            format!(
-                "SELECT count(*), sum(l_extendedprice) FROM lineitem \
-                 WHERE l_quantity >= {} AND l_quantity <= {}",
-                1 + i * 10,
-                25 + i * 10
-            )
-        })
-        .collect();
-    let build = |enabled: bool| {
-        let mut session = ReCache::builder()
-            .shared_scans(SharedScanConfig {
-                enabled,
-                // Cap the group at K so the gather seals the moment all
-                // co-runners join instead of sleeping out the window —
-                // this mode prices the shared pass, not the window.
-                max_participants: queries.len(),
-                // A generous *upper bound*: the leader seals early once
-                // the group fills or every live query has joined (or
-                // finished), so on a loaded 1-core runner a straggler
-                // that raced ahead solo doesn't cost the full window.
-                gather_window: Duration::from_millis(25),
-            })
-            .build();
-        session.register_csv_bytes("lineitem", li_bytes.clone(), li_schema.clone());
-        session
-    };
-    let run_overlap = |session: &ReCache| {
-        let barrier = Barrier::new(queries.len());
-        let barrier = &barrier;
-        std::thread::scope(|scope| {
-            for q in &queries {
-                scope.spawn(move || {
-                    barrier.wait();
-                    black_box(
-                        session
-                            .execute(&QueryRequest::sql(q.as_str()))
-                            .expect("shared-scan trajectory query")
-                            .rows
-                            .len(),
-                    );
-                });
-            }
-        });
-    };
-    let mut saved_ratio = 0.0f64;
-    let mut base_ns = 0.0f64;
-    for (mode, enabled) in [("independent", false), ("shared", true)] {
-        let ns = measure(samples, 1, || {
-            let session = build(enabled);
-            run_overlap(&session);
-            if enabled {
-                let c = session.cache().counters();
-                let saved = c.shared_scan_participants.saturating_sub(c.shared_scans) as f64;
-                saved_ratio = saved_ratio.max(saved / queries.len() as f64);
-            }
-        });
-        if !enabled {
-            base_ns = ns;
-        }
-        out.push(BenchResult {
-            name: "shared_scan_overlap",
-            mode,
-            threads: queries.len(),
-            median_ns: ns,
-            rel_to_row: ns / base_ns,
-        });
-    }
-    saved_ratio
-}
-
 /// The `server` trajectory mode: boots an in-process `recache-server` on
 /// an ephemeral port, drives it with the open-loop load driver at a
 /// fixed arrival rate, and records client-side tail latency as three
@@ -782,13 +691,6 @@ fn main() {
         args.usize("result_cache_samples", 5),
         &mut results,
     );
-    // Work sharing: K overlapping predicates over one cold source,
-    // shared rendezvous vs independent scans.
-    let shared_scan_saved = shared_scan_family(
-        args.f64("shared_scan_sf", 0.005),
-        args.usize("shared_scan_samples", 5),
-        &mut results,
-    );
     // Serving tail latency over the wire (open-loop driver against an
     // in-process server on an ephemeral port).
     let server_report = server_family(
@@ -846,10 +748,6 @@ fn main() {
         result_cache_speedup,
     ));
     derived.push(("result_cache_hit_rate".to_owned(), result_cache_hit_rate));
-    derived.push((
-        "shared_scan_raw_passes_saved_ratio".to_owned(),
-        shared_scan_saved,
-    ));
     derived.push(("server_shed_rate".to_owned(), server_report.shed_rate()));
     derived.push((
         "server_achieved_qps".to_owned(),

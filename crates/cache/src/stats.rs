@@ -108,12 +108,6 @@ pub struct RegistryCounters {
     /// in-flight scan and who waited for the leader's admitted entry
     /// instead of re-scanning raw (distinct from exact-key `coalesced`).
     pub coalesced_subsumed: u64,
-    /// Shared multi-predicate raw passes: one per batched scan that
-    /// served two or more concurrently-admitted queries.
-    pub shared_scans: u64,
-    /// Total queries served by shared scans (each shared pass contributes
-    /// its participant count, leader included).
-    pub shared_scan_participants: u64,
 }
 
 /// The registry's live counters. All fields are relaxed atomics: each is
@@ -140,8 +134,6 @@ pub struct AtomicRegistryCounters {
     pub result_evictions: AtomicU64,
     pub result_invalidations: AtomicU64,
     pub coalesced_subsumed: AtomicU64,
-    pub shared_scans: AtomicU64,
-    pub shared_scan_participants: AtomicU64,
 }
 
 impl AtomicRegistryCounters {
@@ -165,8 +157,6 @@ impl AtomicRegistryCounters {
             result_evictions: self.result_evictions.load(Ordering::Relaxed),
             result_invalidations: self.result_invalidations.load(Ordering::Relaxed),
             coalesced_subsumed: self.coalesced_subsumed.load(Ordering::Relaxed),
-            shared_scans: self.shared_scans.load(Ordering::Relaxed),
-            shared_scan_participants: self.shared_scan_participants.load(Ordering::Relaxed),
         }
     }
 }

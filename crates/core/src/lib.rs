@@ -47,13 +47,11 @@ pub use result_cache::{ResultCache, ResultCacheConfig};
 pub use session::{
     AdmissionGate, AdmissionPermit, AdmissionStats, Scheduler, SharedScanConfig, StreamLease,
 };
-use session::{
-    Begin, FlightGuard, FlightKey, FlightOutcome, Inflight, SharedRole, SharedScans, SharedServe,
-};
+use session::{Begin, FlightGuard, FlightKey, FlightOutcome, Inflight};
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 // Re-exports so downstream users need only this crate.
 pub use recache_cache::admission::AdmissionConfig as Admission;
@@ -83,7 +81,6 @@ pub struct ReCacheBuilder {
     layout: LayoutPolicy,
     caching: bool,
     result_cache: result_cache::ResultCacheConfig,
-    shared_scans: SharedScanConfig,
 }
 
 impl Default for ReCacheBuilder {
@@ -97,7 +94,6 @@ impl Default for ReCacheBuilder {
             // Off unless `RECACHE_RESULT_CACHE_ENABLED` opts the process
             // in (the server front end enables serving sessions itself).
             result_cache: result_cache::ResultCacheConfig::from_env(),
-            shared_scans: SharedScanConfig::from_env(),
         }
     }
 }
@@ -167,11 +163,10 @@ impl ReCacheBuilder {
         self
     }
 
-    /// Replaces the shared-scan configuration (default:
-    /// [`SharedScanConfig::from_env`], i.e. enabled with the
-    /// `RECACHE_SHARED_SCAN*` env overrides applied).
-    pub fn shared_scans(mut self, config: SharedScanConfig) -> Self {
-        self.shared_scans = config;
+    /// Has no effect: shared multi-predicate scans were removed and
+    /// every raw miss runs its own pass. Kept so existing builder chains
+    /// still compile.
+    pub fn shared_scans(self, _config: SharedScanConfig) -> Self {
         self
     }
 
@@ -191,8 +186,6 @@ impl ReCacheBuilder {
             registry,
             results,
             inflight: Inflight::default(),
-            shared: SharedScans::new(self.shared_scans),
-            live: AtomicUsize::new(0),
             admission: self.admission,
             layout: self.layout,
             caching: self.caching,
@@ -213,12 +206,6 @@ pub struct ReCache {
     results: Arc<result_cache::ResultCache>,
     /// Single-flight table for in-flight cacheable scans.
     inflight: Inflight,
-    /// Shared-scan rendezvous board (work sharing across co-running
-    /// queries on one source).
-    shared: SharedScans,
-    /// Queries currently inside `run_spec`. Shared-scan leaders only pay
-    /// the gather window when this says someone could actually join.
-    live: AtomicUsize,
     admission: AdmissionConfig,
     layout: LayoutPolicy,
     caching: bool,
@@ -458,60 +445,10 @@ impl ReCache {
         ))
     }
 
-    /// Parses and runs one SQL query.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `session.execute(&QueryRequest::sql(text)).map(QueryResponse::into_result)`"
-    )]
-    pub fn sql(&self, text: &str) -> Result<QueryResult> {
-        self.execute(&QueryRequest::sql(text))
-            .map(QueryResponse::into_result)
-    }
-
-    /// Runs one parsed query with default execution options.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `session.execute(&QueryRequest::spec(spec.clone())).map(QueryResponse::into_result)`"
-    )]
-    pub fn run(&self, spec: &QuerySpec) -> Result<QueryResult> {
-        self.execute(&QueryRequest::spec(spec.clone()))
-            .map(QueryResponse::into_result)
-    }
-
-    /// Runs one parsed query under a wall-clock deadline.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `session.execute(&QueryRequest::spec(spec.clone()).options(options.clone()).deadline(timeout)).map(QueryResponse::into_result)`"
-    )]
-    pub fn run_with_timeout(
-        &self,
-        spec: &QuerySpec,
-        options: &ExecOptions,
-        timeout: Duration,
-    ) -> Result<QueryResult> {
-        self.execute(
-            &QueryRequest::spec(spec.clone())
-                .options(options.clone())
-                .deadline(timeout),
-        )
-        .map(QueryResponse::into_result)
-    }
-
-    /// Runs one parsed query under explicit [`ExecOptions`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `session.execute(&QueryRequest::spec(spec.clone()).options(options.clone())).map(QueryResponse::into_result)`"
-    )]
-    pub fn run_with(&self, spec: &QuerySpec, options: &ExecOptions) -> Result<QueryResult> {
-        self.execute(&QueryRequest::spec(spec.clone()).options(options.clone()))
-            .map(QueryResponse::into_result)
-    }
-
     /// The execution core behind [`ReCache::execute`]: one resolved
     /// spec under final options (deadline already folded into `cancel`).
     fn run_spec(&self, spec: &QuerySpec, options: &ExecOptions) -> Result<QueryResult> {
         let t_run = Instant::now();
-        let _live = LiveGuard::enter(&self.live);
         self.queries_run.fetch_add(1, Ordering::Relaxed);
         self.registry.tick();
         if let Err(err) = options.check_cancel() {
@@ -642,10 +579,12 @@ impl ReCache {
                             held.insert(keys[i].clone());
                             break (miss, raw);
                         }
-                        Begin::Wait(flight) => {
-                            // Duplicate in-flight scan: wait for the
-                            // leading session's admission, then re-look
-                            // up and reuse instead of redoing D + C work.
+                        Begin::Wait { flight, subsumed } => {
+                            // Another session's in-flight scan covers this
+                            // one — the same key, or (`subsumed`) a wider
+                            // predicate over the same source. Wait for its
+                            // admission, then re-look-up and reuse the
+                            // entry instead of redoing D + C work.
                             let outcome = match flight.wait(options.cancel.as_deref()) {
                                 Ok(outcome) => outcome,
                                 Err(err) => {
@@ -657,7 +596,10 @@ impl ReCache {
                                 }
                             };
                             match outcome {
-                                FlightOutcome::Admitted => waited = true,
+                                FlightOutcome::Admitted => {
+                                    waited = true;
+                                    waited_subsumed |= subsumed;
+                                }
                                 // A leader that admitted nothing leaves
                                 // nothing to reuse — scan raw concurrently
                                 // rather than queueing as the next serial
@@ -671,36 +613,6 @@ impl ReCache {
                                     }
                                     // Loop: re-probe the cache, then race
                                     // for the vacated leadership slot.
-                                }
-                            }
-                        }
-                        Begin::WaitSubsumed(flight) => {
-                            // A concurrent leader's wider scan covers this
-                            // predicate: wait for its admission, then the
-                            // re-probe serves this query by subsumption
-                            // from the new entry — no raw pass at all.
-                            let outcome = match flight.wait(options.cancel.as_deref()) {
-                                Ok(outcome) => outcome,
-                                Err(err) => {
-                                    self.registry.note_timeout();
-                                    return Err(err);
-                                }
-                            };
-                            match outcome {
-                                FlightOutcome::Admitted => {
-                                    waited = true;
-                                    waited_subsumed = true;
-                                }
-                                // The covering leader admitted nothing:
-                                // scan raw concurrently rather than
-                                // gambling on another covering flight.
-                                FlightOutcome::NotAdmitted => break (miss, raw),
-                                FlightOutcome::Failed => {
-                                    saw_leader_failure = true;
-                                    failovers += 1;
-                                    if failovers > MAX_LEADER_FAILOVERS {
-                                        break (miss, raw);
-                                    }
                                 }
                             }
                         }
@@ -744,7 +656,7 @@ impl ReCache {
             joins: resolved.joins.clone(),
             aggregates: resolved.aggregates.clone(),
         };
-        let output = match self.shared_execute(&plan, options) {
+        let output = match exec::execute_with(&plan, options) {
             Ok(output) => output,
             Err(err) => {
                 // Classify the failure before it propagates. Any flight
@@ -916,70 +828,6 @@ impl ReCache {
         })
     }
 
-    /// Executes a plan, sharing the raw pass with concurrently-admitted
-    /// queries over the same source when possible.
-    ///
-    /// A shareable plan (single batchable raw table) rendezvouses on the
-    /// session's [`SharedScans`] board: the first arrival leads, holds
-    /// the group open for the gather window, then runs ONE batched pass
-    /// evaluating every participant's predicate per chunk
-    /// ([`exec::execute_shared`]) and publishes each member's own
-    /// rows/aggregates. Every fallback path (solo group, shared-pass
-    /// error, abandoned leader, cancelled member) degrades to the plain
-    /// per-query [`exec::execute_with`], so sharing can change only the
-    /// number of raw passes — never a query's result.
-    ///
-    /// The gather window is only paid when at least one other query is
-    /// live inside [`ReCache::run_spec`], so single-stream workloads see
-    /// no added latency — and the leader stops gathering early once
-    /// every live query has joined the group (or finished), so the full
-    /// window is an upper bound, not a fixed cost.
-    fn shared_execute(&self, plan: &QueryPlan, options: &ExecOptions) -> Result<exec::QueryOutput> {
-        let config = self.shared.config();
-        if !config.enabled
-            || self.live.load(Ordering::Relaxed) < 2
-            || !exec::shareable(plan, options)
-        {
-            return exec::execute_with(plan, options);
-        }
-        match self.shared.rendezvous(&plan.tables[0].name, plan) {
-            SharedRole::Lead(lead) => {
-                let plans = lead.gather(&self.live);
-                if plans.len() < 2 {
-                    // Nobody joined inside the window: plain solo run.
-                    // (Dropping the lead publishes fallback to the empty
-                    // member set — a no-op.)
-                    drop(lead);
-                    return exec::execute_with(plan, options);
-                }
-                match exec::execute_shared(&plans, options) {
-                    Ok(mut outputs) => {
-                        self.registry.note_shared_scan();
-                        self.registry
-                            .note_shared_scan_participants(plans.len() as u64);
-                        let mine = outputs.remove(0);
-                        lead.publish(outputs.into_iter().map(SharedServe::Output).collect());
-                        Ok(mine)
-                    }
-                    Err(_) => {
-                        // Release members to their own solo runs first,
-                        // then retry solo ourselves: per-query fault
-                        // handling (bounded retry, degraded fallback,
-                        // typed errors) applies unchanged.
-                        drop(lead);
-                        exec::execute_with(plan, options)
-                    }
-                }
-            }
-            SharedRole::Member(gather, ticket) => {
-                match gather.await_serve(ticket, options.cancel.as_deref())? {
-                    SharedServe::Output(output) => Ok(output),
-                    SharedServe::Fallback => exec::execute_with(plan, options),
-                }
-            }
-        }
-    }
-
     /// Default eager layout for a source under the current policy.
     fn store_choice(&self, file: &RawFile) -> StoreChoice {
         match self.layout {
@@ -1108,23 +956,6 @@ impl ReCache {
         self.registry
             .replace_data_if(id, Some(LayoutKind::Offsets), data, ns);
         Ok(ns)
-    }
-}
-
-/// RAII increment of the session's live-query gauge (decrements on every
-/// exit path from `run_spec`, including errors and panics).
-struct LiveGuard<'a>(&'a AtomicUsize);
-
-impl<'a> LiveGuard<'a> {
-    fn enter(gauge: &'a AtomicUsize) -> Self {
-        gauge.fetch_add(1, Ordering::Relaxed);
-        LiveGuard(gauge)
-    }
-}
-
-impl Drop for LiveGuard<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::Relaxed);
     }
 }
 

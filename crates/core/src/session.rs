@@ -28,13 +28,6 @@
 //!   (subsumption coalescing — restricted to single-table followers,
 //!   which hold no leaderships of their own, so the wait graph stays
 //!   acyclic).
-//! * [`SharedScans`](crate-private) + [`SharedScanConfig`] — the shared
-//!   multi-predicate scan rendezvous: when K concurrently-admitted
-//!   queries miss on the same batchable raw source with *different*
-//!   predicates, the first one to reach the executor leads a short
-//!   gather window, batches every participant's predicate into one raw
-//!   pass (`recache_engine::exec::execute_shared`), and distributes
-//!   per-query outputs — K queries, one scan.
 //! * [`AdmissionGate`] — bounded admission with shed-on-overload for
 //!   serving layers: at most `max_running` queries execute while at most
 //!   `max_queued` wait their turn; anything beyond that is *shed* with a
@@ -45,14 +38,13 @@
 
 use crate::{QueryRequest, QueryResponse, QueryResult, ReCache};
 use recache_cache::registry::LeafRange;
-use recache_engine::exec::{ExecOptions, QueryOutput, Repricer};
-use recache_engine::plan::QueryPlan;
+use recache_engine::exec::ExecOptions;
 use recache_engine::sql::QuerySpec;
 use recache_types::{CancelToken, Error, Result};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Renders a panic payload for error reporting (`&str` and `String`
 /// payloads cover `panic!`/`assert!`; anything else gets a placeholder).
@@ -196,14 +188,13 @@ impl Flight {
 pub(crate) enum Begin<'a> {
     /// This caller owns the scan; dropping the guard releases waiters.
     Leader(FlightGuard<'a>),
-    /// Another session is already scanning this key; wait on the flight,
-    /// then re-look-up.
-    Wait(Arc<Flight>),
-    /// Another session is scanning a *wider* predicate over the same
-    /// source whose admitted ranges will cover this query (subsumption
-    /// coalescing); wait on that flight, then re-look-up and filter from
-    /// the subsuming entry instead of re-scanning raw.
-    WaitSubsumed(Arc<Flight>),
+    /// Another session's in-flight scan covers this one: wait on the
+    /// flight, then re-look-up. `subsumed` is false when the flight scans
+    /// this exact key, and true when it scans a *wider* predicate over
+    /// the same source whose admitted ranges will cover this query
+    /// (subsumption coalescing) — the re-look-up then filters from the
+    /// subsuming entry instead of re-scanning raw.
+    Wait { flight: Arc<Flight>, subsumed: bool },
 }
 
 /// One subsumable leader's registered conjunctive ranges: any follower
@@ -257,7 +248,10 @@ impl Inflight {
     ) -> Begin<'_> {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(flight) = state.map.get(&key) {
-            return Begin::Wait(Arc::clone(flight));
+            return Begin::Wait {
+                flight: Arc::clone(flight),
+                subsumed: false,
+            };
         }
         if try_subsumed {
             if let Some(regs) = state.ranges.get(&key.0) {
@@ -271,7 +265,10 @@ impl Inflight {
                         .all(|lr| query_ranges.iter().any(|qr| lr.covers(qr)))
                 });
                 if let Some(reg) = covered {
-                    return Begin::WaitSubsumed(Arc::clone(&reg.flight));
+                    return Begin::Wait {
+                        flight: Arc::clone(&reg.flight),
+                        subsumed: true,
+                    };
                 }
             }
         }
@@ -371,280 +368,11 @@ impl Drop for FlightGuard<'_> {
     }
 }
 
-/// Tuning of the shared multi-predicate scan rendezvous.
-///
-/// Env knobs (read by [`SharedScanConfig::from_env`], the session
-/// builder's default): `RECACHE_SHARED_SCAN` (`0`/`false`/`off`
-/// disables), `RECACHE_SHARED_SCAN_WAIT_MS` (gather window),
-/// `RECACHE_SHARED_SCAN_MAX` (max participants per pass).
-#[derive(Debug, Clone)]
-pub struct SharedScanConfig {
-    /// Master switch; disabled groups never form and every query scans
-    /// independently (the pre-PR-10 behavior).
-    pub enabled: bool,
-    /// Most queries one shared pass may serve (leader included). The
-    /// gather seals early once the group is full.
-    pub max_participants: usize,
-    /// How long a leader holds the group open for co-runners to join.
-    /// Only paid when other queries are live in the session, so
-    /// single-stream workloads see no added latency.
-    pub gather_window: Duration,
-}
-
-impl Default for SharedScanConfig {
-    fn default() -> Self {
-        SharedScanConfig {
-            enabled: true,
-            max_participants: 16,
-            gather_window: Duration::from_millis(2),
-        }
-    }
-}
-
-impl SharedScanConfig {
-    /// The default config with any `RECACHE_SHARED_SCAN*` env overrides
-    /// applied.
-    pub fn from_env() -> Self {
-        let mut cfg = SharedScanConfig::default();
-        if let Ok(v) = std::env::var("RECACHE_SHARED_SCAN") {
-            cfg.enabled = !matches!(v.trim(), "0" | "false" | "off");
-        }
-        if let Ok(ms) = std::env::var("RECACHE_SHARED_SCAN_WAIT_MS") {
-            if let Ok(ms) = ms.trim().parse::<u64>() {
-                cfg.gather_window = Duration::from_millis(ms);
-            }
-        }
-        if let Ok(n) = std::env::var("RECACHE_SHARED_SCAN_MAX") {
-            if let Ok(n) = n.trim().parse::<usize>() {
-                cfg.max_participants = n.max(1);
-            }
-        }
-        cfg
-    }
-}
-
-/// How one shared-scan member is served.
-pub(crate) enum SharedServe {
-    /// The member's slice of the shared pass: its own rows/aggregates,
-    /// bit-identical to what a solo scan would have produced.
-    Output(QueryOutput),
-    /// The pass failed, was abandoned, or declined this member: run the
-    /// plan independently.
-    Fallback,
-}
-
-struct GatherState {
-    /// A sealed group accepts no more members (its leader is running).
-    sealed: bool,
-    /// Participant plans in ticket order; slot 0 is the leader's.
-    plans: Vec<QueryPlan>,
-    /// Per-ticket serves, filled at publish; `None` reads as fallback.
-    results: Vec<Option<SharedServe>>,
-    done: bool,
-}
-
-/// One gathering (or running) shared-scan group over a source.
-pub(crate) struct Gather {
-    state: Mutex<GatherState>,
-    cv: Condvar,
-}
-
-impl Gather {
-    /// Blocks until the leader publishes, then takes this ticket's serve.
-    /// A missing slot (leader died, defensive padding) reads as
-    /// [`SharedServe::Fallback`]. With a cancel token the wait polls, so
-    /// a cancelled member stops waiting promptly.
-    pub(crate) fn await_serve(
-        &self,
-        ticket: usize,
-        cancel: Option<&CancelToken>,
-    ) -> Result<SharedServe> {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        while !state.done {
-            match cancel {
-                None => state = self.cv.wait(state).unwrap_or_else(|e| e.into_inner()),
-                Some(token) => {
-                    token.check()?;
-                    let (guard, _) = self
-                        .cv
-                        .wait_timeout(state, WAIT_POLL)
-                        .unwrap_or_else(|e| e.into_inner());
-                    state = guard;
-                }
-            }
-        }
-        Ok(state
-            .results
-            .get_mut(ticket)
-            .and_then(Option::take)
-            .unwrap_or(SharedServe::Fallback))
-    }
-}
-
-/// This query's role in a shared-scan group.
-pub(crate) enum SharedRole<'a> {
-    /// First to arrive: gather co-runners, run the batched pass, publish.
-    Lead(GatherLead<'a>),
-    /// Joined an open group with this ticket; await the leader's serve.
-    Member(Arc<Gather>, usize),
-}
-
-/// Leadership of a gathering shared-scan group. If the leader unwinds
-/// before publishing (error paths, panics), drop releases every member
-/// with [`SharedServe::Fallback`] rather than leaving them waiting.
-pub(crate) struct GatherLead<'a> {
-    board: &'a SharedScans,
-    source: String,
-    group: Arc<Gather>,
-}
-
-/// Poll granularity inside the gather wait. Members joining signal the
-/// group's condvar, but a co-runner *finishing* (live-gauge decrement)
-/// does not — the leader re-reads the gauge at this cadence so it never
-/// sleeps out the window waiting for queries that no longer exist.
-const GATHER_POLL: Duration = Duration::from_micros(500);
-
-impl GatherLead<'_> {
-    /// Waits out the gather window, un-maps and seals the group, and
-    /// returns every participant's plan in ticket order (the leader's at
-    /// slot 0). The wait is cut short the moment no more members can
-    /// usefully arrive: when the group fills to `max_participants`, or
-    /// when every query counted by the session's live gauge is already
-    /// in the group (a future joiner increments the gauge *before*
-    /// rendezvousing, so a pending joiner is always counted). After this
-    /// returns no further member can join, so `publish` may size its
-    /// serves off the returned plans.
-    pub(crate) fn gather(&self, live: &AtomicUsize) -> Vec<QueryPlan> {
-        let config = &self.board.config;
-        let deadline = Instant::now() + config.gather_window;
-        {
-            let mut state = self.group.state.lock().unwrap_or_else(|e| e.into_inner());
-            while state.plans.len() < config.max_participants
-                && state.plans.len() < live.load(Ordering::Relaxed)
-            {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                let (guard, _) = self
-                    .group
-                    .cv
-                    .wait_timeout(state, (deadline - now).min(GATHER_POLL))
-                    .unwrap_or_else(|e| e.into_inner());
-                state = guard;
-            }
-        }
-        // Un-map BEFORE sealing: members join while holding the map
-        // lock, so "indexed in the map" implies "still open" and a
-        // ticket handed out under that lock is always honored.
-        self.board.unmap(&self.source, &self.group);
-        let mut state = self.group.state.lock().unwrap_or_else(|e| e.into_inner());
-        state.sealed = true;
-        state.plans.clone()
-    }
-
-    /// Publishes each member's serve (`serves[t - 1]` goes to ticket `t`;
-    /// slot 0 is the leader, who never waits on itself) and wakes them.
-    /// First publication wins; the drop's fallback publish is a no-op
-    /// after this.
-    pub(crate) fn publish(&self, serves: Vec<SharedServe>) {
-        let mut state = self.group.state.lock().unwrap_or_else(|e| e.into_inner());
-        if state.done {
-            return;
-        }
-        let mut results: Vec<Option<SharedServe>> = Vec::with_capacity(serves.len() + 1);
-        results.push(None); // leader's slot, never awaited
-        results.extend(serves.into_iter().map(Some));
-        // Short publishes leave trailing members at `None` → fallback.
-        state.results = results;
-        state.done = true;
-        self.group.cv.notify_all();
-    }
-}
-
-impl Drop for GatherLead<'_> {
-    fn drop(&mut self) {
-        // Unwind safety: un-map first so nobody joins a dead group, then
-        // release any members still waiting with an (empty ⇒ fallback)
-        // publication. When `publish` already ran, this is a no-op.
-        self.board.unmap(&self.source, &self.group);
-        let mut state = self.group.state.lock().unwrap_or_else(|e| e.into_inner());
-        state.sealed = true;
-        if !state.done {
-            state.results = Vec::new();
-            state.done = true;
-            self.group.cv.notify_all();
-        }
-    }
-}
-
-/// The shared-scan rendezvous board: at most one *gathering* group per
-/// source. Lock order is map → group state (the leader's gather wait
-/// holds only the group lock), and neither is ever held across a scan.
-pub(crate) struct SharedScans {
-    groups: Mutex<HashMap<String, Arc<Gather>>>,
-    config: SharedScanConfig,
-}
-
-impl SharedScans {
-    pub(crate) fn new(config: SharedScanConfig) -> Self {
-        SharedScans {
-            groups: Mutex::new(HashMap::new()),
-            config,
-        }
-    }
-
-    pub(crate) fn config(&self) -> &SharedScanConfig {
-        &self.config
-    }
-
-    /// Joins the open group over `source`, or opens a new one as leader.
-    /// Joining happens while holding the map lock — a mapped group is by
-    /// invariant unsealed (leaders un-map before sealing) — so a member's
-    /// ticket is always eventually served (or explicitly fallback'd).
-    pub(crate) fn rendezvous(&self, source: &str, plan: &QueryPlan) -> SharedRole<'_> {
-        let mut groups = self.groups.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(group) = groups.get(source) {
-            let mut state = group.state.lock().unwrap_or_else(|e| e.into_inner());
-            if !state.sealed && state.plans.len() < self.config.max_participants {
-                state.plans.push(plan.clone());
-                let ticket = state.plans.len() - 1;
-                group.cv.notify_all();
-                let group = Arc::clone(group);
-                drop(state);
-                return SharedRole::Member(group, ticket);
-            }
-            // Full group still mapped: fall through and replace it with
-            // a fresh one (its leader un-maps by pointer identity, so
-            // the replacement is never clobbered).
-        }
-        let group = Arc::new(Gather {
-            state: Mutex::new(GatherState {
-                sealed: false,
-                plans: vec![plan.clone()],
-                results: Vec::new(),
-                done: false,
-            }),
-            cv: Condvar::new(),
-        });
-        groups.insert(source.to_owned(), Arc::clone(&group));
-        SharedRole::Lead(GatherLead {
-            board: self,
-            source: source.to_owned(),
-            group,
-        })
-    }
-
-    fn unmap(&self, source: &str, group: &Arc<Gather>) {
-        let mut groups = self.groups.lock().unwrap_or_else(|e| e.into_inner());
-        if groups
-            .get(source)
-            .is_some_and(|current| Arc::ptr_eq(current, group))
-        {
-            groups.remove(source);
-        }
-    }
-}
+/// Retained so existing builder chains compile; it has no effect.
+/// Shared multi-predicate scans were removed, and every raw miss runs
+/// its own pass.
+#[derive(Debug, Clone, Default)]
+pub struct SharedScanConfig;
 
 /// Default cancellation poll while waiting in the admission queue.
 const ADMIT_POLL: Duration = Duration::from_millis(5);
@@ -777,68 +505,29 @@ impl Drop for AdmissionPermit<'_> {
     }
 }
 
-/// The scheduler's shared heart — refcounted so a [`StreamLease`] is an
-/// owned, `'static` handle: mid-query repricing closures
-/// ([`Repricer`]) capture `Arc<StreamLease>` and travel into the
-/// executor without borrowing the scheduler.
-struct SchedulerCore {
-    total_threads: usize,
-    active: AtomicUsize,
-    /// Cost board: one slot per registered stream, `None` when free.
-    /// Slots are reused so the board stays as small as the peak stream
-    /// count, not the total ever registered.
-    board: Mutex<Vec<Option<Arc<AtomicU64>>>>,
-}
-
-impl SchedulerCore {
-    /// Sum of every registered stream's posted cost.
-    fn posted_cost_total(&self) -> u64 {
-        let board = self.board.lock().unwrap_or_else(|e| e.into_inner());
-        board
-            .iter()
-            .flatten()
-            .map(|c| c.load(Ordering::Acquire))
-            .sum()
-    }
-}
-
 /// One registered query stream's seat at the [`Scheduler`]: a slot on
 /// the shared cost board. Dropping the lease (including during unwind)
 /// frees the slot and zeroes its posted cost, so a dead stream stops
 /// skewing the survivors' thread shares. Obtained from
 /// [`Scheduler::register_stream`]; the TCP server holds one per live
-/// connection. The lease is owned (it keeps the scheduler core alive),
-/// so it can be wrapped in an `Arc` and re-observed mid-query by a
-/// shared scan's [`Repricer`].
-pub struct StreamLease {
-    core: Arc<SchedulerCore>,
+/// connection.
+pub struct StreamLease<'a> {
+    scheduler: &'a Scheduler,
     slot: usize,
     cost: Arc<AtomicU64>,
 }
 
-impl StreamLease {
+impl StreamLease<'_> {
     /// Posts this stream's in-flight cost estimate (floored at 1 so an
     /// active stream never reads as idle) and returns its cost-weighted
     /// slice of the thread budget. The posted cost stays on the board
     /// until the next `negotiate`, [`clear`](Self::clear), or drop.
     pub fn negotiate(&self, cost: u64) -> usize {
         self.cost.store(cost.max(1), Ordering::Release);
-        let total = self.core.posted_cost_total();
+        let total = self.scheduler.posted_cost_total();
         weighted_share(
-            self.core.total_threads,
+            self.scheduler.total_threads,
             total,
-            self.cost.load(Ordering::Acquire),
-        )
-    }
-
-    /// Re-reads this stream's share without re-posting: the cost already
-    /// on the board is re-weighed against whatever the other streams
-    /// post *now*. Shared scans call this between chunk waves so threads
-    /// freed by departed streams rebalance instead of idling.
-    pub fn reprice(&self) -> usize {
-        weighted_share(
-            self.core.total_threads,
-            self.core.posted_cost_total(),
             self.cost.load(Ordering::Acquire),
         )
     }
@@ -850,12 +539,16 @@ impl StreamLease {
     }
 }
 
-impl Drop for StreamLease {
+impl Drop for StreamLease<'_> {
     fn drop(&mut self) {
-        let mut board = self.core.board.lock().unwrap_or_else(|e| e.into_inner());
+        let mut board = self
+            .scheduler
+            .board
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
         board[self.slot] = None;
         drop(board);
-        self.core.active.fetch_sub(1, Ordering::AcqRel);
+        self.scheduler.active.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
@@ -866,7 +559,12 @@ impl Drop for StreamLease {
 /// ([`Scheduler::run_streams`]) and long-lived server connections
 /// share the same cost board.
 pub struct Scheduler {
-    core: Arc<SchedulerCore>,
+    total_threads: usize,
+    active: AtomicUsize,
+    /// Cost board: one slot per registered stream, `None` when free.
+    /// Slots are reused so the board stays as small as the peak stream
+    /// count, not the total ever registered.
+    board: Mutex<Vec<Option<Arc<AtomicU64>>>>,
 }
 
 impl Scheduler {
@@ -879,30 +577,28 @@ impl Scheduler {
             total_threads
         };
         Scheduler {
-            core: Arc::new(SchedulerCore {
-                total_threads,
-                active: AtomicUsize::new(0),
-                board: Mutex::new(Vec::new()),
-            }),
+            total_threads,
+            active: AtomicUsize::new(0),
+            board: Mutex::new(Vec::new()),
         }
     }
 
     /// The pool-wide thread budget this scheduler divides.
     pub fn total_threads(&self) -> usize {
-        self.core.total_threads
+        self.total_threads
     }
 
     /// Streams currently registered (inside [`Scheduler::run_streams`]
     /// or holding a [`StreamLease`]).
     pub fn active_sessions(&self) -> usize {
-        self.core.active.load(Ordering::Acquire)
+        self.active.load(Ordering::Acquire)
     }
 
     /// Registers a query stream and returns its lease on the cost
     /// board. The stream starts idle (cost 0) until it negotiates.
-    pub fn register_stream(&self) -> StreamLease {
+    pub fn register_stream(&self) -> StreamLease<'_> {
         let cost = Arc::new(AtomicU64::new(0));
-        let mut board = self.core.board.lock().unwrap_or_else(|e| e.into_inner());
+        let mut board = self.board.lock().unwrap_or_else(|e| e.into_inner());
         let slot = match board.iter().position(Option::is_none) {
             Some(free) => {
                 board[free] = Some(Arc::clone(&cost));
@@ -914,12 +610,22 @@ impl Scheduler {
             }
         };
         drop(board);
-        self.core.active.fetch_add(1, Ordering::AcqRel);
+        self.active.fetch_add(1, Ordering::AcqRel);
         StreamLease {
-            core: Arc::clone(&self.core),
+            scheduler: self,
             slot,
             cost,
         }
+    }
+
+    /// Sum of every registered stream's posted cost.
+    fn posted_cost_total(&self) -> u64 {
+        let board = self.board.lock().unwrap_or_else(|e| e.into_inner());
+        board
+            .iter()
+            .flatten()
+            .map(|c| c.load(Ordering::Acquire))
+            .sum()
     }
 
     /// Runs every stream to completion concurrently (one OS thread per
@@ -939,7 +645,7 @@ impl Scheduler {
                 .iter()
                 .map(|stream| {
                     scope.spawn(move || {
-                        let lease = Arc::new(self.register_stream());
+                        let lease = self.register_stream();
                         let out: Result<Vec<QueryResult>> = stream
                             .iter()
                             .map(|spec| {
@@ -947,13 +653,7 @@ impl Scheduler {
                                 // estimate still counts as in-flight.
                                 let estimate = session.estimate_scan_cost(spec);
                                 let threads = lease.negotiate(estimate);
-                                let mut options = ExecOptions::with_threads(threads);
-                                // Shared scans re-observe the lease's
-                                // share between chunk waves, so threads
-                                // freed by finished streams rebalance
-                                // mid-query.
-                                let repricer = Arc::clone(&lease);
-                                options.reprice = Some(Repricer::new(move || repricer.reprice()));
+                                let options = ExecOptions::with_threads(threads);
                                 session
                                     .execute(&QueryRequest::spec(spec.clone()).options(options))
                                     .map(QueryResponse::into_result)
@@ -1073,7 +773,11 @@ mod tests {
         let barrier = Barrier::new(2);
         std::thread::scope(|scope| {
             scope.spawn(|| {
-                let Begin::Wait(flight) = inflight.begin(key.clone(), &[], false, false) else {
+                let Begin::Wait {
+                    flight,
+                    subsumed: false,
+                } = inflight.begin(key.clone(), &[], false, false)
+                else {
                     panic!("second begin must wait");
                 };
                 barrier.wait();
@@ -1111,7 +815,11 @@ mod tests {
         let Begin::Leader(guard) = inflight.begin(key.clone(), &[], false, false) else {
             panic!("first begin must lead");
         };
-        let Begin::Wait(flight) = inflight.begin(key.clone(), &[], false, false) else {
+        let Begin::Wait {
+            flight,
+            subsumed: false,
+        } = inflight.begin(key.clone(), &[], false, false)
+        else {
             panic!("second begin must wait");
         };
         drop(guard); // leader died without deciding the admission
@@ -1133,7 +841,11 @@ mod tests {
         let Begin::Leader(guard) = inflight.begin(key.clone(), &[], false, false) else {
             panic!("first begin must lead");
         };
-        let Begin::Wait(flight) = inflight.begin(key.clone(), &[], false, false) else {
+        let Begin::Wait {
+            flight,
+            subsumed: false,
+        } = inflight.begin(key.clone(), &[], false, false)
+        else {
             panic!("second begin must wait");
         };
         guard.complete_now(FlightOutcome::NotAdmitted);
@@ -1159,7 +871,11 @@ mod tests {
         let Begin::Leader(second) = inflight.begin(key.clone(), &[], false, false) else {
             panic!("completed key must be claimable again");
         };
-        let Begin::Wait(flight) = inflight.begin(key.clone(), &[], false, false) else {
+        let Begin::Wait {
+            flight,
+            subsumed: false,
+        } = inflight.begin(key.clone(), &[], false, false)
+        else {
             panic!("third begin must wait on the second leader");
         };
         drop(first); // stale drop while the successor is in flight
@@ -1179,7 +895,11 @@ mod tests {
         let Begin::Leader(guard) = inflight.begin(key.clone(), &[], false, false) else {
             panic!("first begin must lead");
         };
-        let Begin::Wait(flight) = inflight.begin(key.clone(), &[], false, false) else {
+        let Begin::Wait {
+            flight,
+            subsumed: false,
+        } = inflight.begin(key.clone(), &[], false, false)
+        else {
             panic!("second begin must wait");
         };
         // The leader panics mid-scan; unwinding drops the guard, which
@@ -1204,7 +924,11 @@ mod tests {
         let Begin::Leader(_guard) = inflight.begin(key.clone(), &[], false, false) else {
             panic!("first begin must lead");
         };
-        let Begin::Wait(flight) = inflight.begin(key.clone(), &[], false, false) else {
+        let Begin::Wait {
+            flight,
+            subsumed: false,
+        } = inflight.begin(key.clone(), &[], false, false)
+        else {
             panic!("second begin must wait");
         };
         let token = CancelToken::new();
@@ -1247,7 +971,10 @@ mod tests {
         };
         // A narrower predicate over the same source, different signature:
         // subsumed wait instead of leading its own scan.
-        let Begin::WaitSubsumed(flight) = inflight.begin(narrow_key.clone(), &narrow, true, true)
+        let Begin::Wait {
+            flight,
+            subsumed: true,
+        } = inflight.begin(narrow_key.clone(), &narrow, true, true)
         else {
             panic!("covered follower must wait subsumed");
         };
@@ -1290,11 +1017,11 @@ mod tests {
                 true,
                 true
             ),
-            Begin::WaitSubsumed(_)
+            Begin::Wait { subsumed: true, .. }
         ));
         assert!(matches!(
             inflight.begin(("t".to_owned(), "norange".to_owned()), &[], true, true),
-            Begin::WaitSubsumed(_)
+            Begin::Wait { subsumed: true, .. }
         ));
         // Different source: unaffected.
         assert!(matches!(
@@ -1312,12 +1039,16 @@ mod tests {
         else {
             panic!("must lead");
         };
-        let Begin::WaitSubsumed(flight) = inflight.begin(
+        let Begin::Wait {
+            flight,
+            subsumed: true,
+        } = inflight.begin(
             ("t".to_owned(), "narrow".to_owned()),
             &[range(0, 1.0, 2.0)],
             true,
             true,
-        ) else {
+        )
+        else {
             panic!("must wait subsumed");
         };
         drop(guard); // leader died without deciding the admission
@@ -1332,146 +1063,6 @@ mod tests {
             ),
             Begin::Leader(_)
         ));
-    }
-
-    fn tiny_plan() -> QueryPlan {
-        use recache_engine::plan::{AccessPath, TablePlan};
-        let file = Arc::new(recache_data::RawFile::from_bytes(
-            Vec::new(),
-            recache_data::FileFormat::Csv,
-            recache_types::Schema::new(vec![]),
-        ));
-        QueryPlan {
-            tables: vec![TablePlan {
-                name: "t".to_owned(),
-                access: AccessPath::Raw(file),
-                accessed: vec![],
-                predicate: None,
-                record_level: false,
-                collect_satisfying: false,
-            }],
-            joins: vec![],
-            aggregates: vec![],
-        }
-    }
-
-    #[test]
-    fn shared_scan_members_receive_published_serves() {
-        let shared = SharedScans::new(SharedScanConfig {
-            enabled: true,
-            max_participants: 3,
-            gather_window: Duration::from_millis(200),
-        });
-        let SharedRole::Lead(lead) = shared.rendezvous("t", &tiny_plan()) else {
-            panic!("first arrival must lead");
-        };
-        let SharedRole::Member(m1, t1) = shared.rendezvous("t", &tiny_plan()) else {
-            panic!("second arrival must join");
-        };
-        let SharedRole::Member(m2, t2) = shared.rendezvous("t", &tiny_plan()) else {
-            panic!("third arrival must join");
-        };
-        assert_eq!((t1, t2), (1, 2));
-        // Group is full: the gather returns immediately with all plans.
-        let plans = lead.gather(&AtomicUsize::new(3));
-        assert_eq!(plans.len(), 3);
-        // Full and sealed: the next arrival opens a fresh group.
-        assert!(matches!(
-            shared.rendezvous("t", &tiny_plan()),
-            SharedRole::Lead(_)
-        ));
-        lead.publish(vec![
-            SharedServe::Output(QueryOutput::default()),
-            SharedServe::Fallback,
-        ]);
-        assert!(matches!(
-            m1.await_serve(t1, None).unwrap(),
-            SharedServe::Output(_)
-        ));
-        assert!(matches!(
-            m2.await_serve(t2, None).unwrap(),
-            SharedServe::Fallback
-        ));
-    }
-
-    #[test]
-    fn gather_seals_early_once_every_live_query_joined() {
-        let shared = SharedScans::new(SharedScanConfig {
-            enabled: true,
-            max_participants: 8,
-            // Far longer than the test tolerates: the seal below must
-            // come from the live-gauge check, not window expiry.
-            gather_window: Duration::from_secs(10),
-        });
-        let SharedRole::Lead(lead) = shared.rendezvous("t", &tiny_plan()) else {
-            panic!("must lead");
-        };
-        let SharedRole::Member(_m, t) = shared.rendezvous("t", &tiny_plan()) else {
-            panic!("must join");
-        };
-        assert_eq!(t, 1);
-        // Two live queries, both in the group: nobody else can arrive,
-        // so the gather returns after at most one poll slice.
-        let start = Instant::now();
-        let plans = lead.gather(&AtomicUsize::new(2));
-        assert_eq!(plans.len(), 2);
-        assert!(
-            start.elapsed() < Duration::from_secs(2),
-            "gather slept toward the window instead of sealing on the live gauge"
-        );
-    }
-
-    #[test]
-    fn dropped_gather_lead_releases_members_with_fallback() {
-        let shared = SharedScans::new(SharedScanConfig {
-            enabled: true,
-            max_participants: 4,
-            gather_window: Duration::from_millis(200),
-        });
-        let SharedRole::Lead(lead) = shared.rendezvous("t", &tiny_plan()) else {
-            panic!("must lead");
-        };
-        let SharedRole::Member(m, t) = shared.rendezvous("t", &tiny_plan()) else {
-            panic!("must join");
-        };
-        // The leader unwinds without publishing (query error / panic):
-        // members must be released with fallback, not left waiting.
-        drop(lead);
-        assert!(matches!(
-            m.await_serve(t, None).unwrap(),
-            SharedServe::Fallback
-        ));
-        // The dead group is unmapped: the source is claimable again.
-        assert!(matches!(
-            shared.rendezvous("t", &tiny_plan()),
-            SharedRole::Lead(_)
-        ));
-    }
-
-    #[test]
-    fn cancelled_shared_scan_member_stops_waiting() {
-        let shared = SharedScans::new(SharedScanConfig::default());
-        let SharedRole::Lead(_lead) = shared.rendezvous("t", &tiny_plan()) else {
-            panic!("must lead");
-        };
-        let SharedRole::Member(m, t) = shared.rendezvous("t", &tiny_plan()) else {
-            panic!("must join");
-        };
-        let token = CancelToken::new();
-        token.cancel();
-        assert!(matches!(
-            m.await_serve(t, Some(&token)),
-            Err(Error::Cancelled)
-        ));
-    }
-
-    #[test]
-    fn shared_scan_config_env_knobs() {
-        // Serialized via a fresh config each time; only parsing logic is
-        // under test, not cross-test env isolation.
-        let cfg = SharedScanConfig::default();
-        assert!(cfg.enabled);
-        assert!(cfg.max_participants >= 2);
     }
 
     #[test]

@@ -25,40 +25,12 @@ use crate::exactsum::ExactSum;
 use crate::kernel::{BatchAggregator, CompiledPredicate};
 use crate::plan::{AccessPath, AggFunc, QueryPlan, TablePlan};
 use recache_data::RawFile;
-use recache_layout::{
-    ColumnBatch, ColumnStore, DremelStore, RowStore, ScanCost, SelectionVector, BATCH_ROWS,
-};
+use recache_layout::{ColumnBatch, ColumnStore, DremelStore, RowStore, ScanCost, BATCH_ROWS};
 use recache_types::{CancelToken, Error, Result, ScanCtl, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 use workpool::ThreadPool;
-
-/// A callback the executor invokes between a shared scan's chunk waves
-/// to re-observe the query's negotiated thread share (mid-query
-/// scheduler repricing): threads freed by departed streams rebalance
-/// into the running scan instead of idling until the next query.
-/// Cloneable and `'static` so it rides inside [`ExecOptions`] across
-/// worker threads (typically capturing an `Arc<StreamLease>`).
-#[derive(Clone)]
-pub struct Repricer(Arc<dyn Fn() -> usize + Send + Sync>);
-
-impl Repricer {
-    pub fn new(f: impl Fn() -> usize + Send + Sync + 'static) -> Self {
-        Repricer(Arc::new(f))
-    }
-
-    /// The thread budget this query should use from now on.
-    pub fn threads(&self) -> usize {
-        (self.0)()
-    }
-}
-
-impl std::fmt::Debug for Repricer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Repricer").finish_non_exhaustive()
-    }
-}
 
 /// Execution knobs.
 #[derive(Debug, Clone)]
@@ -81,10 +53,6 @@ pub struct ExecOptions {
     /// [`Error::Timeout`] and releases the query's thread budget
     /// promptly (workers finish their current chunk and stop).
     pub cancel: Option<Arc<CancelToken>>,
-    /// Mid-query repricing hook, consulted by [`execute_shared`] between
-    /// chunk waves. `None` (the default) keeps the initial `threads`
-    /// budget for the whole query.
-    pub reprice: Option<Repricer>,
 }
 
 impl Default for ExecOptions {
@@ -93,7 +61,6 @@ impl Default for ExecOptions {
             vectorized: true,
             threads: 0,
             cancel: None,
-            reprice: None,
         }
     }
 }
@@ -117,7 +84,6 @@ impl ExecOptions {
             vectorized: false,
             threads: 1,
             cancel: None,
-            reprice: None,
         }
     }
 
@@ -244,7 +210,7 @@ pub struct ExecStats {
 }
 
 /// Query result: one value per aggregate.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct QueryOutput {
     pub values: Vec<Value>,
     /// Rows that reached the aggregation operator.
@@ -831,283 +797,6 @@ fn batchable<'a>(
     Some((store, pred))
 }
 
-/// Whether `plan` can participate in a shared multi-predicate scan: a
-/// single-table, join-free query over a *batchable raw* source (flat
-/// CSV / flat JSON) whose predicate compiles to kernels. Cache-store
-/// scans are excluded — they are already cheap, and sharing them would
-/// only serialize independent reads.
-pub fn shareable(plan: &QueryPlan, options: &ExecOptions) -> bool {
-    plan.tables.len() == 1
-        && plan.joins.is_empty()
-        && matches!(&plan.tables[0].access, AccessPath::Raw(f) if f.supports_batch_scan())
-        && batchable(&plan.tables[0], options).is_some()
-}
-
-/// Executes K single-table plans over the *same* raw source as one
-/// shared multi-predicate pass: the file is tokenized once, each batch's
-/// identity selection is filtered per participant
-/// ([`CompiledPredicate::filter_from`], slots remapped onto the union
-/// projection), and per-participant selection vectors feed that
-/// participant's own aggregates/ids. Outputs return in plan order and
-/// are **bit-identical** to running each plan alone: the chunk grid is
-/// projection-independent, clause order within each predicate is
-/// preserved, and per-task partials merge in ascending chunk order
-/// (order-exact sums via [`ExactSum`]).
-///
-/// When [`ExecOptions::reprice`] is set, the pass runs in chunk *waves*
-/// and re-observes the thread budget between waves (mid-query scheduler
-/// repricing). A single shared [`ScanCtl`] spans all waves, so fault
-/// retry bookkeeping, skip-above-failure, and deterministic error
-/// selection behave exactly as in a solo scan.
-///
-/// Any error (validation, I/O surviving bounded retry, cancellation)
-/// fails the *whole* pass — callers fall back to independent execution
-/// per participant, where the solo degraded-fallback path applies.
-pub fn execute_shared(plans: &[QueryPlan], options: &ExecOptions) -> Result<Vec<QueryOutput>> {
-    let t_start = Instant::now();
-    let first = plans
-        .first()
-        .ok_or_else(|| Error::plan("shared scan needs at least one plan"))?;
-    let AccessPath::Raw(file) = &first.tables[0].access else {
-        return Err(Error::plan("shared scan requires raw access"));
-    };
-    let mut union: Vec<usize> = Vec::new();
-    for plan in plans {
-        if !shareable(plan, options) {
-            return Err(Error::plan("plan is not shareable"));
-        }
-        let AccessPath::Raw(f) = &plan.tables[0].access else {
-            unreachable!("shareable implies raw access");
-        };
-        if !Arc::ptr_eq(f, file) {
-            return Err(Error::plan("shared scan plans target different sources"));
-        }
-        union.extend(plan.tables[0].accessed.iter().copied());
-    }
-    union.sort_unstable();
-    union.dedup();
-
-    // Per-participant compiled state, slots rebound onto the union
-    // projection (participant slot `i` addresses its `accessed[i]`,
-    // which lives at that leaf's position in `union`).
-    struct Part<'p> {
-        plan: &'p QueryPlan,
-        pred: Option<CompiledPredicate>,
-        agg_slots: Vec<Option<usize>>,
-        want_ids: bool,
-    }
-    let mut parts: Vec<Part<'_>> = Vec::with_capacity(plans.len());
-    for plan in plans {
-        let table = &plan.tables[0];
-        let map: Vec<usize> = table
-            .accessed
-            .iter()
-            .map(|leaf| {
-                union
-                    .binary_search(leaf)
-                    .expect("union contains every accessed leaf")
-            })
-            .collect();
-        let pred = match table.predicate.as_ref() {
-            None => None,
-            Some(p) => Some(
-                CompiledPredicate::compile(p)
-                    .ok_or_else(|| Error::plan("shared participant predicate must compile"))?
-                    .remap_slots(&map),
-            ),
-        };
-        parts.push(Part {
-            plan,
-            pred,
-            agg_slots: plan
-                .aggregates
-                .iter()
-                .map(|a| a.slot.map(|s| map[s]))
-                .collect(),
-            want_ids: table.collect_satisfying,
-        });
-    }
-    let want_record_ids = parts.iter().any(|p| p.want_ids);
-
-    // The one synthetic scan everyone rides: union projection, no scan-
-    // level predicate (participants filter from the identity selection
-    // themselves), no id collection beyond what any participant needs.
-    let shared_table = TablePlan {
-        name: first.tables[0].name.clone(),
-        access: AccessPath::Raw(Arc::clone(file)),
-        accessed: union.clone(),
-        predicate: None,
-        record_level: false,
-        collect_satisfying: false,
-    };
-    let store = StoreRef::Raw(file);
-    // Sampled before the scan: the first wave installs the positional
-    // map, so sampling later would mislabel a first scan as mapped.
-    let access = store.access_kind();
-    let n_chunks = store.batch_chunks(&union, false);
-    let ctl = ScanCtl::new(options.cancel.clone());
-
-    struct PartSink {
-        aggs: Vec<BatchAggregator>,
-        rows_out: usize,
-        ids: Option<Vec<u32>>,
-    }
-    let make = || {
-        let sinks: Vec<PartSink> = parts
-            .iter()
-            .map(|p| PartSink {
-                aggs: p
-                    .plan
-                    .aggregates
-                    .iter()
-                    .map(|a| BatchAggregator::new(a.func))
-                    .collect(),
-                rows_out: 0,
-                ids: p.want_ids.then(Vec::new),
-            })
-            .collect();
-        (sinks, SelectionVector::new())
-    };
-    let consume = |(sinks, scratch): &mut (Vec<PartSink>, SelectionVector),
-                   batch: &ColumnBatch<'_>,
-                   sel: &SelectionVector| {
-        for (part, sink) in parts.iter().zip(sinks.iter_mut()) {
-            // Each participant filters its own copy of the batch's base
-            // selection — identical kernels, clause order, and survivor
-            // set to its solo scan.
-            let survivors: &SelectionVector = match &part.pred {
-                Some(pred) => {
-                    pred.filter_from(&batch.columns, sel, scratch);
-                    scratch
-                }
-                None => sel,
-            };
-            sink.rows_out += survivors.len();
-            if let Some(ids) = sink.ids.as_mut() {
-                for &i in survivors.as_slice() {
-                    ids.push(batch.record_ids[i as usize]);
-                }
-            }
-            for (state, slot) in sink.aggs.iter_mut().zip(&part.agg_slots) {
-                state.update(slot.map(|s| &batch.columns[s]), survivors);
-            }
-        }
-    };
-
-    let mut threads = options.effective_threads();
-    let mut cost = ScanCost::default();
-    let mut all_sinks: Vec<(Vec<PartSink>, SelectionVector)> = Vec::new();
-    let mut lo = 0usize;
-    loop {
-        // Without a repricer one span covers the whole grid (zero added
-        // dispatch); with one, each wave is a full task-grid's worth of
-        // chunks so repricing happens a handful of times per scan.
-        let wave = match options.reprice {
-            None => n_chunks.max(1),
-            Some(_) => (threads.max(1) * TASKS_PER_THREAD).max(1),
-        };
-        let hi = n_chunks.min(lo + wave);
-        let (wave_cost, sinks) = scan_store_batched_span(
-            &store,
-            &shared_table,
-            None,
-            want_record_ids,
-            threads,
-            &ctl,
-            lo,
-            hi,
-            make,
-            consume,
-        )?;
-        cost.add(&wave_cost);
-        all_sinks.extend(sinks);
-        lo = hi;
-        if lo >= n_chunks {
-            break;
-        }
-        if let Some(repricer) = &options.reprice {
-            threads = repricer.threads().max(1);
-        }
-    }
-
-    let records_scanned = store.record_count();
-    let retried = ctl.retries();
-
-    // Per-participant merge in task order — ascending chunk position
-    // across waves — mirroring the solo merge loop exactly.
-    struct Acc {
-        aggs: Option<Vec<BatchAggregator>>,
-        rows_out: usize,
-        ids: Option<Vec<u32>>,
-    }
-    let mut accs: Vec<Acc> = parts
-        .iter()
-        .map(|p| Acc {
-            aggs: None,
-            rows_out: 0,
-            ids: p.want_ids.then(Vec::new),
-        })
-        .collect();
-    for (sinks, _scratch) in all_sinks {
-        for (acc, sink) in accs.iter_mut().zip(sinks) {
-            acc.rows_out += sink.rows_out;
-            if let (Some(all), Some(part)) = (acc.ids.as_mut(), sink.ids) {
-                all.extend(part);
-            }
-            match acc.aggs.as_mut() {
-                None => acc.aggs = Some(sink.aggs),
-                Some(base) => {
-                    for (into, part) in base.iter_mut().zip(sink.aggs) {
-                        into.merge(part);
-                    }
-                }
-            }
-        }
-    }
-    let exec_ns = t_start.elapsed().as_nanos() as u64;
-
-    let mut outputs = Vec::with_capacity(parts.len());
-    for (i, (part, acc)) in parts.iter().zip(accs).enumerate() {
-        let aggs = acc.aggs.unwrap_or_else(|| {
-            part.plan
-                .aggregates
-                .iter()
-                .map(|a| BatchAggregator::new(a.func))
-                .collect()
-        });
-        let values: Vec<Value> = aggs.into_iter().map(BatchAggregator::finish).collect();
-        let scan = ScanOutcome {
-            access,
-            rows_scanned: cost.rows_visited,
-            records_scanned,
-            flattened_rows: None,
-            cache_scan: None,
-            // The pass's retries are real work that happened once;
-            // attribute them to the leader (slot 0) so registry counters
-            // aren't inflated K-fold.
-            retried_chunks: if i == 0 { retried } else { 0 },
-        };
-        let stats = ExecStats {
-            tables: vec![table_stats(
-                &part.plan.tables[0],
-                scan,
-                exec_ns,
-                acc.rows_out,
-                acc.ids,
-            )],
-            join_ns: 0,
-            agg_ns: 0,
-            total_ns: t_start.elapsed().as_nanos() as u64,
-        };
-        outputs.push(QueryOutput {
-            values,
-            rows_aggregated: acc.rows_out,
-            stats,
-        });
-    }
-    Ok(outputs)
-}
-
 /// Vectorized store scan, the one entry point for every thread count:
 /// the store's batch-chunk grid is split into contiguous task ranges
 /// ([`task_ranges`] — a single range at `threads = 1`, which the pool
@@ -1144,62 +833,12 @@ fn scan_store_batched<T: Send>(
     // map as a side effect, so sampling afterwards would mislabel it.
     let access = store.access_kind();
     let n_chunks = store.batch_chunks(&table.accessed, table.record_level);
+    let ranges = task_ranges(n_chunks, threads);
     // One control block per scan, shared by every task: external
     // cancellation fans in through it, chunk failures record into it
     // keyed by chunk index, and tasks consult it to skip chunks above
     // an already-failed one.
     let ctl = ScanCtl::new(cancel.cloned());
-    let (cost, sinks) = scan_store_batched_span(
-        &store,
-        table,
-        pred,
-        want_record_ids,
-        threads,
-        &ctl,
-        0,
-        n_chunks,
-        make,
-        consume,
-    )?;
-    Ok((
-        ScanOutcome {
-            access,
-            rows_scanned: cost.rows_visited,
-            records_scanned: store.record_count(),
-            flattened_rows: store.flattened_rows(),
-            // Raw scans report no D/C split, matching the row-path raw
-            // scan — the cost model prices cache layouts, not files.
-            cache_scan: store.is_cache_store().then_some(cost),
-            retried_chunks: ctl.retries(),
-        },
-        sinks,
-    ))
-}
-
-/// One parallel pass over the chunk span `[chunk_lo, chunk_hi)` of a
-/// store's batch grid — the work-distribution core of
-/// [`scan_store_batched`], split out so [`execute_shared`] can run
-/// several *waves* over one grid with a shared [`ScanCtl`] (global
-/// chunk indexes keep skip-above-failure and deterministic error
-/// selection correct across waves) and a fresh thread budget per wave.
-/// Per-task sinks return **in task order** (ascending chunk position).
-#[allow(clippy::too_many_arguments)]
-fn scan_store_batched_span<T: Send>(
-    store: &StoreRef<'_>,
-    table: &TablePlan,
-    pred: Option<&CompiledPredicate>,
-    want_record_ids: bool,
-    threads: usize,
-    ctl: &ScanCtl,
-    chunk_lo: usize,
-    chunk_hi: usize,
-    make: impl Fn() -> T + Sync,
-    consume: impl Fn(&mut T, &ColumnBatch<'_>, &recache_layout::SelectionVector) + Sync,
-) -> Result<(ScanCost, Vec<T>)> {
-    let ranges: Vec<(usize, usize)> = task_ranges(chunk_hi.saturating_sub(chunk_lo), threads)
-        .into_iter()
-        .map(|(lo, hi)| (chunk_lo + lo, chunk_lo + hi))
-        .collect();
     let tasks = ThreadPool::global().map_index(ranges.len(), threads, |t| {
         let (lo, hi) = ranges[t];
         let mut sink = make();
@@ -1211,7 +850,7 @@ fn scan_store_batched_span<T: Send>(
             want_record_ids,
             lo,
             hi,
-            Some(ctl),
+            Some(&ctl),
             &mut |batch, sel| {
                 if let Some(pred) = pred {
                     let t0 = Instant::now();
@@ -1260,7 +899,19 @@ fn scan_store_batched_span<T: Send>(
     if let Some(err) = first_task_err {
         return Err(err);
     }
-    Ok((cost, sinks))
+    Ok((
+        ScanOutcome {
+            access,
+            rows_scanned: cost.rows_visited,
+            records_scanned: store.record_count(),
+            flattened_rows: store.flattened_rows(),
+            // Raw scans report no D/C split, matching the row-path raw
+            // scan — the cost model prices cache layouts, not files.
+            cache_scan: store.is_cache_store().then_some(cost),
+            retried_chunks: ctl.retries(),
+        },
+        sinks,
+    ))
 }
 
 /// Runs one table's scan + filter row-at-a-time, pushing the source
@@ -2000,7 +1651,6 @@ mod tests {
                 vectorized: true,
                 threads: 1,
                 cancel: None,
-                reprice: None,
             },
         )
         .unwrap();
@@ -2011,7 +1661,6 @@ mod tests {
                     vectorized: true,
                     threads,
                     cancel: None,
-                    reprice: None,
                 },
             )
             .unwrap();
@@ -2077,7 +1726,6 @@ mod tests {
                 vectorized: true,
                 threads: 1,
                 cancel: None,
-                reprice: None,
             },
         )
         .unwrap();
@@ -2087,7 +1735,6 @@ mod tests {
                 vectorized: true,
                 threads: 4,
                 cancel: None,
-                reprice: None,
             },
         )
         .unwrap();
@@ -2149,7 +1796,6 @@ mod tests {
                 vectorized: true,
                 threads: 1,
                 cancel: None,
-                reprice: None,
             },
         )
         .unwrap();
@@ -2160,7 +1806,6 @@ mod tests {
                     vectorized: true,
                     threads,
                     cancel: None,
-                    reprice: None,
                 },
             )
             .unwrap();
@@ -2224,7 +1869,6 @@ mod tests {
             vectorized: false,
             threads: 1,
             cancel: None,
-            reprice: None,
         };
         let reference = execute_with(&row_plan, &row_opts).unwrap();
         assert_eq!(reference.stats.tables[0].access, AccessKind::RawFirstScan);
@@ -2236,7 +1880,6 @@ mod tests {
                 vectorized: true,
                 threads,
                 cancel: None,
-                reprice: None,
             };
             // First scan: tokenizes, captures the posmap.
             let first = execute_with(&plan, &opts).unwrap();
@@ -2284,7 +1927,6 @@ mod tests {
                 vectorized: true,
                 threads: 4,
                 cancel: None,
-                reprice: None,
             },
         )
         .unwrap();
@@ -2333,7 +1975,6 @@ mod tests {
                     vectorized: true,
                     threads,
                     cancel: None,
-                    reprice: None,
                 },
             );
             assert!(err.is_err(), "threads {threads}");
@@ -2374,7 +2015,6 @@ mod tests {
                 vectorized: false,
                 threads: 1,
                 cancel: None,
-                reprice: None,
             },
         )
         .unwrap();
@@ -2385,7 +2025,6 @@ mod tests {
                     vectorized: true,
                     threads,
                     cancel: None,
-                    reprice: None,
                 },
             )
             .unwrap();

@@ -62,44 +62,6 @@ impl CompiledPredicate {
             apply_clause(clause, &columns[clause.slot], sel);
         }
     }
-
-    /// Rebinds every clause's slot through `map`: a predicate compiled
-    /// against one projection is re-addressed to a *wider* projection
-    /// where old slot `s` now lives at `map[s]`. Shared multi-predicate
-    /// scans use this to evaluate K participants' predicates against one
-    /// union-projected batch. Clause order is preserved, so selections
-    /// compact identically to the solo scan.
-    pub fn remap_slots(&self, map: &[usize]) -> CompiledPredicate {
-        CompiledPredicate {
-            clauses: self
-                .clauses
-                .iter()
-                .map(|c| Clause {
-                    slot: map[c.slot],
-                    ..c.clone()
-                })
-                .collect(),
-        }
-    }
-
-    /// Like [`filter`](Self::filter), but filters a *copy* of `base` into
-    /// `out` (cleared first) instead of consuming the selection — the
-    /// shared-scan path evaluates K predicates against one batch, each
-    /// from the same base selection. Clause order and kernels are the
-    /// ones `filter` uses, so the surviving rows are bit-identical to a
-    /// solo scan's.
-    pub fn filter_from(
-        &self,
-        columns: &[BatchColumn<'_>],
-        base: &SelectionVector,
-        out: &mut SelectionVector,
-    ) {
-        out.clear();
-        for &row in base {
-            out.push(row);
-        }
-        self.filter(columns, out);
-    }
 }
 
 fn collect_clauses(expr: &Expr, out: &mut Vec<Clause>) -> Option<()> {
@@ -828,35 +790,6 @@ mod tests {
         let mut sum = BatchAggregator::new(AggFunc::Sum);
         sum.update(Some(&col), &s);
         assert_eq!(sum.finish(), Value::Float(0.0));
-    }
-
-    #[test]
-    fn remapped_predicate_filters_union_projection_identically() {
-        let a = [1i64, 2, 3, 4, 5];
-        let b = [10i64, 20, 30, 40, 50];
-        // Solo projection: [a, b]; union projection: [x, a, b] (the
-        // participant's slots 0, 1 live at union positions 1, 2).
-        let x = [0i64, 0, 0, 0, 0];
-        let solo_cols = [int_col(&a), int_col(&b)];
-        let union_cols = [int_col(&x), int_col(&a), int_col(&b)];
-        let p = CompiledPredicate::compile(&Expr::And(vec![
-            Expr::cmp(0, CmpOp::Ge, 3i64),
-            Expr::cmp(1, CmpOp::Lt, 50i64),
-        ]))
-        .unwrap();
-        let mut solo = sel(5);
-        p.filter(&solo_cols, &mut solo);
-        let remapped = p.remap_slots(&[1, 2]);
-        let base = sel(5);
-        let mut shared = SelectionVector::new();
-        remapped.filter_from(&union_cols, &base, &mut shared);
-        assert_eq!(solo.as_slice(), shared.as_slice());
-        // `filter_from` neither consumed the base nor kept stale rows
-        // from a previous (larger) use of the scratch vector.
-        assert_eq!(base.len(), 5);
-        let mut scratch = sel(5);
-        remapped.filter_from(&union_cols, &base, &mut scratch);
-        assert_eq!(scratch.as_slice(), solo.as_slice());
     }
 
     #[test]

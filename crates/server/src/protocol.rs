@@ -626,7 +626,6 @@ pub fn decode_request(payload: &[u8]) -> Result<Request> {
                 vectorized,
                 threads,
                 cancel: None,
-                reprice: None,
             });
             if cur.u8()? != 0 {
                 query = query.deadline(Duration::from_nanos(cur.u64()?));

@@ -42,7 +42,7 @@ use crate::protocol::{
     self, is_frame_deadline, read_frame_bounded, QueryReply, Request, Response, StatsReply,
 };
 use recache_core::{AdmissionGate, QueryBody, QueryRequest, ReCache, Scheduler, StreamLease};
-use recache_engine::exec::{ExecOptions, Repricer};
+use recache_engine::exec::ExecOptions;
 use recache_engine::sql::parse_query;
 use recache_types::{Error, Result};
 use std::io::ErrorKind;
@@ -161,7 +161,7 @@ impl Shared {
     /// Executes one query request end to end: deadline armed (queue wait
     /// counts against it), permit taken, thread share negotiated,
     /// engine invoked.
-    fn run_query(&self, lease: &Arc<StreamLease>, request: QueryRequest) -> Result<QueryReply> {
+    fn run_query(&self, lease: &StreamLease<'_>, request: QueryRequest) -> Result<QueryReply> {
         let request = match (request.get_deadline(), self.config.default_deadline) {
             (None, Some(default)) => request.deadline(default),
             _ => request,
@@ -187,31 +187,24 @@ impl Shared {
         // cost to the board or take a negotiated thread share away from
         // connections doing real work. The probe can go stale before
         // execution (benign — the query then just runs with one thread).
-        let (threads, reprice) = if self
+        let threads = if self
             .session
             .result_cached(&spec, request.get_result_cache())
         {
             ConnectionCounters::bump(&self.result_fast_path);
-            (1, None)
+            1
         } else if options.threads == 0 {
             // `threads == 0` means "let the server decide": negotiate a
             // cost-weighted share against the other live connections. An
-            // explicit client budget is honored as-is, and only the
-            // negotiated path re-observes the cost board mid-query
-            // (shared scans reprice between chunk waves).
-            let repricer = Arc::clone(lease);
-            (
-                lease.negotiate(self.session.estimate_scan_cost(&spec)),
-                Some(Repricer::new(move || repricer.reprice())),
-            )
+            // explicit client budget is honored as-is.
+            lease.negotiate(self.session.estimate_scan_cost(&spec))
         } else {
-            (options.threads, None)
+            options.threads
         };
         let mut exec = QueryRequest::spec(spec).options(ExecOptions {
             vectorized: options.vectorized,
             threads,
             cancel: options.cancel,
-            reprice,
         });
         if let Some(tag) = request.get_tag() {
             exec = exec.tag(tag);
@@ -232,7 +225,7 @@ impl Shared {
     /// here, and the connection keeps serving.
     fn run_query_guarded(
         &self,
-        lease: &Arc<StreamLease>,
+        lease: &StreamLease<'_>,
         request: QueryRequest,
     ) -> Result<QueryReply> {
         match catch_unwind(AssertUnwindSafe(|| self.run_query(lease, request))) {
@@ -271,11 +264,6 @@ impl Shared {
             ("result_evictions".to_owned(), c.result_evictions),
             ("result_invalidations".to_owned(), c.result_invalidations),
             ("coalesced_subsumed".to_owned(), c.coalesced_subsumed),
-            ("shared_scans".to_owned(), c.shared_scans),
-            (
-                "shared_scan_participants".to_owned(),
-                c.shared_scan_participants,
-            ),
             (
                 "result_fast_path".to_owned(),
                 self.result_fast_path.load(Ordering::Relaxed),
@@ -312,7 +300,7 @@ impl Shared {
         // plan installed this is a plain framed socket.
         let mut writer =
             FaultyStream::with_faults(stream, self.wire_faults.get().cloned(), connection);
-        let lease = Arc::new(self.scheduler.register_stream());
+        let lease = self.scheduler.register_stream();
         let mut last_frame = Instant::now();
         loop {
             let payload = match read_frame_bounded(&mut reader, self.config.frame_deadline) {

@@ -194,7 +194,6 @@ fn chaos_matrix_returns_clean_results_or_typed_errors() {
                             vectorized: true,
                             threads,
                             cancel: None,
-                            reprice: None,
                         };
                         for (spec, expected) in specs.iter().zip(&reference) {
                             let outcome = session
@@ -251,7 +250,6 @@ fn transient_faults_are_absorbed_by_retry() {
         vectorized: true,
         threads: 2,
         cancel: None,
-        reprice: None,
     };
     // A single plan can (rarely) draw no faults on the chunks the scans
     // actually visit; accumulating over a few derived plan seeds keeps
@@ -340,7 +338,6 @@ fn degraded_fallback_completes_on_batched_scan_faults() {
         vectorized: true,
         threads: 2,
         cancel: None,
-        reprice: None,
     };
     let result = session
         .execute(&QueryRequest::spec(specs[0].clone()).options(options.clone()))
@@ -369,7 +366,6 @@ fn deadlines_and_cancellation_return_typed_errors() {
         vectorized: true,
         threads: 2,
         cancel: None,
-        reprice: None,
     };
 
     // An already-expired deadline fails before any scan work.
@@ -388,7 +384,6 @@ fn deadlines_and_cancellation_return_typed_errors() {
     cancelled.cancel();
     let cancel_options = ExecOptions {
         cancel: Some(cancelled),
-        reprice: None,
         ..options.clone()
     };
     let err = session

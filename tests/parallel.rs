@@ -22,7 +22,6 @@ fn options(threads: usize) -> ExecOptions {
         vectorized: true,
         threads,
         cancel: None,
-        reprice: None,
     }
 }
 

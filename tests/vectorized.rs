@@ -35,7 +35,6 @@ const ROW: ExecOptions = ExecOptions {
     vectorized: false,
     threads: 1,
     cancel: None,
-    reprice: None,
 };
 
 const fn vectorized(threads: usize) -> ExecOptions {
@@ -43,7 +42,6 @@ const fn vectorized(threads: usize) -> ExecOptions {
         vectorized: true,
         threads,
         cancel: None,
-        reprice: None,
     }
 }
 
