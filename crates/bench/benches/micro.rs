@@ -343,6 +343,33 @@ fn layout_writes(c: &mut Criterion) {
     group.bench_function("dremel_build", |b| {
         b.iter(|| black_box(DremelStore::build(&schema, records.iter())))
     });
+    // The stores cache admission builds in the served mix: flat lineitem
+    // rows (sf 0.001) and nested orderLineitems records (750 at sf
+    // 0.0005), plus the Dremel -> columnar layout switch.
+    let (_, lineitem_rows) = tpch::gen_orders_and_lineitems(0.001, 42);
+    let lineitem: Vec<Value> = lineitem_rows.into_iter().map(Value::Struct).collect();
+    let lineitem_schema = tpch::lineitem_schema();
+    group.bench_function("lineitem_columnar_build", |b| {
+        b.iter(|| black_box(ColumnStore::build(&lineitem_schema, lineitem.iter())))
+    });
+    group.bench_function("lineitem_row_build", |b| {
+        b.iter(|| black_box(RowStore::build(&lineitem_schema, lineitem.iter())))
+    });
+    let nested_schema = tpch::order_lineitems_schema();
+    let orders = tpch::gen_order_lineitems(0.0005, 42);
+    group.bench_function("order_lineitems_columnar_build", |b| {
+        b.iter(|| black_box(ColumnStore::build(&nested_schema, orders.iter())))
+    });
+    group.bench_function("order_lineitems_row_build", |b| {
+        b.iter(|| black_box(RowStore::build(&nested_schema, orders.iter())))
+    });
+    group.bench_function("order_lineitems_dremel_build", |b| {
+        b.iter(|| black_box(DremelStore::build(&nested_schema, orders.iter())))
+    });
+    let dremel = DremelStore::build(&nested_schema, orders.iter());
+    group.bench_function("order_lineitems_dremel_to_columnar", |b| {
+        b.iter(|| black_box(recache_layout::dremel_to_columnar(&dremel)))
+    });
     group.finish();
 }
 

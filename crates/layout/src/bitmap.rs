@@ -45,6 +45,33 @@ impl Bitmap {
         self.len += 1;
     }
 
+    /// Appends `n` copies of one bit.
+    pub(crate) fn push_n(&mut self, bit: bool, n: usize) {
+        let end = self.len + n;
+        self.words.resize(end.div_ceil(64), 0);
+        if bit {
+            let mut i = self.len;
+            while i < end {
+                let (word, shift) = (i / 64, i % 64);
+                let take = (64 - shift).min(end - i);
+                let ones = if take == 64 {
+                    u64::MAX
+                } else {
+                    (1u64 << take) - 1
+                };
+                self.words[word] |= ones << shift;
+                i += take;
+            }
+        }
+        self.len = end;
+    }
+
+    /// Releases spare capacity, so the heap holds exactly
+    /// [`Bitmap::byte_size`] bytes.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.words.shrink_to_fit();
+    }
+
     /// Reads a bit. Panics if out of bounds (debug) / returns false
     /// (release, via masked indexing) — callers stay in bounds.
     #[inline]
@@ -100,6 +127,27 @@ mod tests {
         for i in 0..200 {
             assert_eq!(bm.get(i), i % 3 == 0, "bit {i}");
         }
+    }
+
+    #[test]
+    fn push_n_matches_repeated_push() {
+        let mut bulk = Bitmap::new();
+        let mut single = Bitmap::new();
+        for (bit, n) in [
+            (true, 3),
+            (false, 70),
+            (true, 130),
+            (true, 0),
+            (false, 1),
+            (true, 64),
+        ] {
+            bulk.push_n(bit, n);
+            for _ in 0..n {
+                single.push(bit);
+            }
+        }
+        assert_eq!(bulk, single);
+        assert_eq!(bulk.count_ones(), 3 + 130 + 64);
     }
 
     #[test]

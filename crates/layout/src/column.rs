@@ -4,7 +4,7 @@
 use crate::batch::{BatchColumn, BatchValues};
 use crate::bitmap::Bitmap;
 use recache_types::{ScalarType, Value};
-use std::collections::BTreeSet;
+use std::collections::HashMap;
 
 /// Default dictionary-encoding threshold: a string column is encoded when
 /// `distinct / rows` is at most this ratio (the knob stores pass to
@@ -16,7 +16,7 @@ pub const DICT_MAX_RATIO: f64 = 0.125;
 pub const DICT_MIN_ROWS: usize = 64;
 
 /// Typed value storage.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ColumnData {
     Bool(Vec<bool>),
     Int(Vec<i64>),
@@ -53,6 +53,24 @@ impl ColumnData {
                 offsets: vec![0],
                 bytes: Vec::new(),
             },
+        }
+    }
+
+    /// An empty column with room for `rows` entries (string bytes
+    /// grow on demand).
+    pub(crate) fn with_capacity(ty: ScalarType, rows: usize) -> Self {
+        match ty {
+            ScalarType::Bool => ColumnData::Bool(Vec::with_capacity(rows)),
+            ScalarType::Int => ColumnData::Int(Vec::with_capacity(rows)),
+            ScalarType::Float => ColumnData::Float(Vec::with_capacity(rows)),
+            ScalarType::Str => {
+                let mut offsets = Vec::with_capacity(rows + 1);
+                offsets.push(0);
+                ColumnData::Str {
+                    offsets,
+                    bytes: Vec::new(),
+                }
+            }
         }
     }
 
@@ -102,6 +120,56 @@ impl ColumnData {
             }
             // Encoding happens only after a store finishes building.
             ColumnData::Dict { .. } => unreachable!("push into a sealed dictionary column"),
+        }
+    }
+
+    /// Appends `n` copies of a value (same coercions as
+    /// [`ColumnData::push`]).
+    pub(crate) fn push_n(&mut self, value: &Value, n: usize) {
+        match self {
+            ColumnData::Bool(v) => v.resize(v.len() + n, value.as_bool().unwrap_or(false)),
+            ColumnData::Int(v) => v.resize(
+                v.len() + n,
+                match value {
+                    Value::Int(x) => *x,
+                    other => other.as_i64().unwrap_or(0),
+                },
+            ),
+            ColumnData::Float(v) => v.resize(v.len() + n, value.as_f64().unwrap_or(0.0)),
+            ColumnData::Str { offsets, bytes } => {
+                let s: &[u8] = match value {
+                    Value::Str(s) => s.as_bytes(),
+                    _ => &[],
+                };
+                for _ in 0..n {
+                    bytes.extend_from_slice(s);
+                    offsets.push(bytes.len() as u32);
+                }
+            }
+            ColumnData::Dict { .. } => unreachable!("push into a sealed dictionary column"),
+        }
+    }
+
+    /// Releases spare capacity, so the heap holds exactly
+    /// [`ColumnData::byte_size`] bytes.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        match self {
+            ColumnData::Bool(v) => v.shrink_to_fit(),
+            ColumnData::Int(v) => v.shrink_to_fit(),
+            ColumnData::Float(v) => v.shrink_to_fit(),
+            ColumnData::Str { offsets, bytes } => {
+                offsets.shrink_to_fit();
+                bytes.shrink_to_fit();
+            }
+            ColumnData::Dict {
+                codes,
+                pool_offsets,
+                pool_bytes,
+            } => {
+                codes.shrink_to_fit();
+                pool_offsets.shrink_to_fit();
+                pool_bytes.shrink_to_fit();
+            }
         }
     }
 
@@ -200,29 +268,33 @@ impl ColumnData {
         }
         // Scale before truncating so tiny ratios keep a non-zero budget.
         let max_distinct = ((rows as f64) * max_ratio).floor().max(1.0) as usize;
-        let mut pool: BTreeSet<&[u8]> = BTreeSet::new();
+        // One hashed pass assigns first-seen codes (bailing as soon as
+        // the distinct count exceeds the budget); sorting the small pool
+        // then remaps them to string order.
+        let mut seen: HashMap<&[u8], u32> = HashMap::new();
+        let mut codes: Vec<u32> = Vec::with_capacity(rows);
         for i in 0..rows {
-            pool.insert(&bytes[offsets[i] as usize..offsets[i + 1] as usize]);
-            if pool.len() > max_distinct {
+            let s = &bytes[offsets[i] as usize..offsets[i + 1] as usize];
+            let next = seen.len() as u32;
+            codes.push(*seen.entry(s).or_insert(next));
+            if seen.len() > max_distinct {
                 return false; // too many distinct values — bail early
             }
         }
-        // Sorted pool → arena; codes resolve by binary search (the pool
-        // is small by construction, so log2(pool) byte compares per row).
-        let sorted: Vec<&[u8]> = pool.into_iter().collect();
+        let mut sorted: Vec<(&[u8], u32)> = seen.into_iter().collect();
+        sorted.sort_unstable();
+        let mut remap = vec![0u32; sorted.len()];
         let mut pool_offsets: Vec<u32> = Vec::with_capacity(sorted.len() + 1);
         pool_offsets.push(0);
-        let mut pool_bytes: Vec<u8> = Vec::new();
-        for s in &sorted {
+        let mut pool_bytes: Vec<u8> = Vec::with_capacity(sorted.iter().map(|(s, _)| s.len()).sum());
+        for (code, (s, first_seen)) in sorted.iter().enumerate() {
+            remap[*first_seen as usize] = code as u32;
             pool_bytes.extend_from_slice(s);
             pool_offsets.push(pool_bytes.len() as u32);
         }
-        let codes: Vec<u32> = (0..rows)
-            .map(|i| {
-                let s = &bytes[offsets[i] as usize..offsets[i + 1] as usize];
-                sorted.binary_search(&s).expect("value in pool") as u32
-            })
-            .collect();
+        for code in &mut codes {
+            *code = remap[*code as usize];
+        }
         *self = ColumnData::Dict {
             codes,
             pool_offsets,
@@ -303,7 +375,7 @@ impl ColumnData {
 }
 
 /// A column: typed data plus a validity mask.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Column {
     pub data: ColumnData,
     /// Set bit = valid (non-null).
@@ -315,6 +387,14 @@ impl Column {
         Column {
             data: ColumnData::new(ty),
             valid: Bitmap::new(),
+        }
+    }
+
+    /// An empty column with room for `rows` entries.
+    pub(crate) fn with_capacity(ty: ScalarType, rows: usize) -> Self {
+        Column {
+            data: ColumnData::with_capacity(ty, rows),
+            valid: Bitmap::with_capacity(rows),
         }
     }
 
@@ -336,6 +416,18 @@ impl Column {
     pub fn push(&mut self, value: &Value) {
         self.valid.push(!value.is_null());
         self.data.push(value);
+    }
+
+    /// Appends `n` copies of a value, tracking nullity.
+    pub(crate) fn push_n(&mut self, value: &Value, n: usize) {
+        self.valid.push_n(!value.is_null(), n);
+        self.data.push_n(value, n);
+    }
+
+    /// Releases spare capacity (see [`ColumnData::shrink_to_fit`]).
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.data.shrink_to_fit();
+        self.valid.shrink_to_fit();
     }
 
     /// Copies entry `index` of another same-typed column (typed append,

@@ -6,6 +6,14 @@
 //! [`crate::shape`] metadata keeps the flattening reversible so the layout
 //! selector can switch a cached item back to the Dremel layout.
 //!
+//! Builds go through the shared one-walk shredder (`crate::shred`): each
+//! record is walked once and every leaf value is appended straight into
+//! its typed column as many times as the flattening replicates it — no
+//! intermediate flattened rows, no `Value` clones, one push per field for
+//! a flat record. Fixed-width buffers are sized exactly from a row-count
+//! pre-pass and string heaps are trimmed, so [`ColumnStore::byte_size`]
+//! is the store's real heap footprint.
+//!
 //! Scan cost shape: near-zero compute (`C ≈ 0` — the property the paper's
 //! Eq. 4 relies on), data-access cost proportional to the flattened row
 //! count `R` regardless of how many rows the query semantically needs.
@@ -13,12 +21,24 @@
 use crate::batch::{ColumnBatch, SelectionVector, BATCH_ROWS};
 use crate::column::Column;
 use crate::shape::{self, ShapeCursor};
+use crate::shred::{LeafSink, Shredder};
 use crate::ScanCost;
-use recache_types::{flatten_record_masks, Schema, Value};
+use recache_types::{Schema, Value};
 use std::time::Instant;
 
+/// Appends shredded leaf values straight into the typed columns.
+struct ColumnSink {
+    columns: Vec<Column>,
+}
+
+impl LeafSink<'_> for ColumnSink {
+    fn fill(&mut self, leaf: usize, value: &Value, _lo: usize, n: usize) {
+        self.columns[leaf].push_n(value, n);
+    }
+}
+
 /// Flattened, column-oriented store of cached records.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ColumnStore {
     schema: Schema,
     columns: Vec<Column>,
@@ -56,6 +76,57 @@ impl ColumnStore {
         records: impl IntoIterator<Item = &'a Value>,
         dict_max_ratio: Option<f64>,
     ) -> Self {
+        let records: Vec<&Value> = records.into_iter().collect();
+        let shredder = Shredder::new(schema);
+        // Exact sizing: a cheap row-count pass (O(1) per record unless
+        // lists nest) lets every fixed-width buffer allocate once.
+        let total_rows: usize = records.iter().map(|r| shredder.rows(r)).sum();
+        let mut sink = ColumnSink {
+            columns: schema
+                .leaves()
+                .iter()
+                .map(|l| Column::with_capacity(l.scalar_type, total_rows))
+                .collect(),
+        };
+        let mut masks = Vec::with_capacity(total_rows);
+        let mut record_rows = Vec::with_capacity(records.len() + 1);
+        record_rows.push(0u32);
+        let mut shape_lens = Vec::new();
+        let mut shape_offsets = Vec::with_capacity(records.len() + 1);
+        shape_offsets.push(0u32);
+        for record in records {
+            shredder.shred(record, &mut masks, &mut shape_lens, &mut sink);
+            shape_offsets.push(shape_lens.len() as u32);
+            record_rows.push(masks.len() as u32);
+        }
+        let mut columns = sink.columns;
+        for col in &mut columns {
+            if let Some(ratio) = dict_max_ratio {
+                col.maybe_dict_encode(ratio, crate::column::DICT_MIN_ROWS);
+            }
+            col.shrink_to_fit();
+        }
+        shape_lens.shrink_to_fit();
+        ColumnStore {
+            schema: schema.clone(),
+            columns,
+            masks,
+            record_rows,
+            shape_lens,
+            shape_offsets,
+            source_ids: None,
+        }
+    }
+
+    /// The pre-shredder build: per-record
+    /// [`recache_types::flatten_record_masks`] rows pushed value by
+    /// value. The test oracle the shredded build must reproduce exactly.
+    #[cfg(test)]
+    pub(crate) fn build_reference<'a>(
+        schema: &Schema,
+        records: impl IntoIterator<Item = &'a Value>,
+        dict_max_ratio: Option<f64>,
+    ) -> Self {
         let leaves = schema.leaves();
         let mut columns: Vec<Column> = leaves.iter().map(|l| Column::new(l.scalar_type)).collect();
         let mut masks = Vec::new();
@@ -66,7 +137,7 @@ impl ColumnStore {
         for record in records {
             shape::capture(schema.fields(), record, &mut shape_lens);
             shape_offsets.push(shape_lens.len() as u32);
-            let rows = flatten_record_masks(schema, record);
+            let rows = recache_types::flatten_record_masks(schema, record);
             for (row, mask) in &rows {
                 masks.push(*mask);
                 for (col, value) in columns.iter_mut().zip(row) {
@@ -100,8 +171,9 @@ impl ColumnStore {
     /// Records the source-file record id of each cached record (same
     /// order as `build` consumed them). Scans then report these ids
     /// instead of store-local indices.
-    pub fn set_source_record_ids(&mut self, ids: Vec<u32>) {
+    pub fn set_source_record_ids(&mut self, mut ids: Vec<u32>) {
         debug_assert_eq!(ids.len(), self.record_count());
+        ids.shrink_to_fit();
         self.source_ids = Some(ids);
     }
 
@@ -137,13 +209,16 @@ impl ColumnStore {
         self.record_rows.len() - 1
     }
 
-    /// Heap footprint: columns + masks + shape/row metadata.
+    /// Heap footprint: columns + masks + shape/row metadata + source
+    /// record ids. Builds leave no spare capacity, so this is what the
+    /// store's buffers really hold.
     pub fn byte_size(&self) -> usize {
         self.columns.iter().map(Column::byte_size).sum::<usize>()
             + self.masks.len() * 8
             + self.record_rows.len() * 4
             + self.shape_lens.len() * 4
             + self.shape_offsets.len() * 4
+            + self.source_ids.as_ref().map_or(0, |ids| ids.len() * 4)
     }
 
     /// Scans the store, emitting the source record id and projected row.

@@ -187,6 +187,7 @@ impl DremelStore {
             .sum::<usize>()
             + self.max_rep.len() * 2
             + self.chunk_starts.iter().map(|s| s.len() * 4).sum::<usize>()
+            + self.source_ids.as_ref().map_or(0, |ids| ids.len() * 4)
     }
 
     /// Column access for tests.
@@ -548,16 +549,12 @@ impl DremelStore {
         let accessed = vec![true; n_leaves];
         let mut cursors = vec![0usize; n_leaves];
         let mut out = Vec::with_capacity(self.record_count);
+        let root = DataType::Struct(self.schema.fields().to_vec());
         for _ in 0..self.record_count {
             let placeholder =
                 assemble_struct(self, self.schema.fields(), 0, 0, 0, &accessed, &mut cursors);
             let mut leaf = 0usize;
-            out.push(materialize(
-                self,
-                &DataType::Struct(self.schema.fields().to_vec()),
-                &placeholder,
-                &mut leaf,
-            ));
+            out.push(materialize(self, &root, &placeholder, &mut leaf));
         }
         out
     }

@@ -30,6 +30,7 @@ pub mod dremel;
 pub mod offsets;
 pub mod row;
 pub mod shape;
+mod shred;
 
 pub use batch::{
     BatchColumn, BatchScratch, BatchValues, ColumnBatch, ScratchColumn, SelectionVector, BATCH_ROWS,

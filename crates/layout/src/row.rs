@@ -4,11 +4,17 @@
 //! every byte of every tuple regardless of how few fields the query
 //! touches, which is exactly the access pattern whose cache-miss count
 //! the row/column layout chooser estimates.
+//!
+//! Builds share the columnar store's one-walk shredder (`crate::shred`):
+//! a record's leaf values land in a reused grid of borrowed cells (one
+//! per flattened row and leaf), which is then packed row by row — no
+//! intermediate flattened rows and no `Value` clones.
 
 use crate::batch::{BatchScratch, ColumnBatch, SelectionVector, BATCH_ROWS};
 use crate::shape;
+use crate::shred::{LeafSink, Shredder};
 use crate::ScanCost;
-use recache_types::{flatten_record_masks, Schema, Value};
+use recache_types::{Schema, Value};
 use std::time::Instant;
 
 const TAG_NULL: u8 = 0;
@@ -18,8 +24,29 @@ const TAG_INT: u8 = 3;
 const TAG_FLOAT: u8 = 4;
 const TAG_STR: u8 = 5;
 
+/// Gathers one record's shredded values into a row-major grid of
+/// borrowed cells (reused across records), which the builder then packs
+/// row by row.
+struct RowSink<'a> {
+    n_leaves: usize,
+    cells: Vec<&'a Value>,
+}
+
+impl<'a> LeafSink<'a> for RowSink<'a> {
+    fn begin_record(&mut self, rows: usize) {
+        self.cells.clear();
+        self.cells.resize(rows * self.n_leaves, &Value::Null);
+    }
+
+    fn fill(&mut self, leaf: usize, value: &'a Value, lo: usize, n: usize) {
+        for row in lo..lo + n {
+            self.cells[row * self.n_leaves + leaf] = value;
+        }
+    }
+}
+
 /// Flattened rows packed back-to-back in a byte buffer.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RowStore {
     schema: Schema,
     buf: Vec<u8>,
@@ -41,6 +68,56 @@ pub struct RowStore {
 impl RowStore {
     /// Builds the store by flattening and packing `records`.
     pub fn build<'a>(schema: &Schema, records: impl IntoIterator<Item = &'a Value>) -> Self {
+        let records: Vec<&Value> = records.into_iter().collect();
+        let shredder = Shredder::new(schema);
+        let n_leaves = schema.leaves().len();
+        let total_rows: usize = records.iter().map(|r| shredder.rows(r)).sum();
+        let mut sink = RowSink {
+            n_leaves,
+            cells: Vec::new(),
+        };
+        let mut buf = Vec::new();
+        let mut row_offsets = Vec::with_capacity(total_rows + 1);
+        row_offsets.push(0u32);
+        let mut masks = Vec::with_capacity(total_rows);
+        let mut record_rows = Vec::with_capacity(records.len() + 1);
+        record_rows.push(0u32);
+        let mut shape_lens = Vec::new();
+        let mut shape_offsets = Vec::with_capacity(records.len() + 1);
+        shape_offsets.push(0u32);
+        for record in records {
+            let rows = shredder.shred(record, &mut masks, &mut shape_lens, &mut sink);
+            for row in 0..rows {
+                for value in &sink.cells[row * n_leaves..(row + 1) * n_leaves] {
+                    encode_value(&mut buf, value);
+                }
+                row_offsets.push(buf.len() as u32);
+            }
+            shape_offsets.push(shape_lens.len() as u32);
+            record_rows.push(masks.len() as u32);
+        }
+        buf.shrink_to_fit();
+        shape_lens.shrink_to_fit();
+        RowStore {
+            schema: schema.clone(),
+            buf,
+            row_offsets,
+            masks,
+            record_rows,
+            shape_lens,
+            shape_offsets,
+            n_leaves,
+            source_ids: None,
+        }
+    }
+
+    /// The pre-shredder build over [`recache_types::flatten_record_masks`]
+    /// rows: the test oracle for [`RowStore::build`].
+    #[cfg(test)]
+    pub(crate) fn build_reference<'a>(
+        schema: &Schema,
+        records: impl IntoIterator<Item = &'a Value>,
+    ) -> Self {
         let n_leaves = schema.leaves().len();
         let mut buf = Vec::new();
         let mut row_offsets = vec![0u32];
@@ -52,7 +129,7 @@ impl RowStore {
         for record in records {
             shape::capture(schema.fields(), record, &mut shape_lens);
             shape_offsets.push(shape_lens.len() as u32);
-            let rows = flatten_record_masks(schema, record);
+            let rows = recache_types::flatten_record_masks(schema, record);
             for (row, mask) in &rows {
                 masks.push(*mask);
                 for value in row {
@@ -77,8 +154,9 @@ impl RowStore {
     }
 
     /// Records the source-file record id of each cached record.
-    pub fn set_source_record_ids(&mut self, ids: Vec<u32>) {
+    pub fn set_source_record_ids(&mut self, mut ids: Vec<u32>) {
         debug_assert_eq!(ids.len(), self.record_count());
+        ids.shrink_to_fit();
         self.source_ids = Some(ids);
     }
 
@@ -107,6 +185,7 @@ impl RowStore {
         self.record_rows.len() - 1
     }
 
+    /// Heap footprint (see [`crate::ColumnStore::byte_size`]).
     pub fn byte_size(&self) -> usize {
         self.buf.len()
             + self.row_offsets.len() * 4
@@ -114,6 +193,7 @@ impl RowStore {
             + self.record_rows.len() * 4
             + self.shape_lens.len() * 4
             + self.shape_offsets.len() * 4
+            + self.source_ids.as_ref().map_or(0, |ids| ids.len() * 4)
     }
 
     /// Bitmask of list dimensions with no projected leaf (shared skip

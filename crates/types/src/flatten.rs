@@ -59,6 +59,10 @@ pub fn list_dim_ranges(schema: &Schema) -> Vec<(usize, usize)> {
 /// leaf set `A` gets exactly the rows of `flatten_record_projected` by
 /// keeping rows where `mask & unaccessed_dims == 0`.
 ///
+/// This is the reference definition of the flattened stores' contents.
+/// The stores themselves are built by `recache-layout`'s one-walk
+/// shredder, whose tests check it against this function row for row.
+///
 /// Panics if the schema has more than 64 list nodes (no realistic schema
 /// comes close).
 pub fn flatten_record_masks(schema: &Schema, record: &Value) -> Vec<(FlatRow, u64)> {
