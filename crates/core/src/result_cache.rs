@@ -25,10 +25,11 @@
 //! (`RECACHE_RESULT_CACHE_BYTES`), separate from the data-cache
 //! capacity: results are tiny next to cached stores, and letting them
 //! compete in one budget would let a flood of distinct queries evict
-//! resident data. Over budget, the least-recently-used entry goes first,
-//! found in O(log n) through an index ordered by access tick. Charged bytes
-//! are an allocation-by-allocation estimate of what an entry holds (see
-//! `entry_bytes`).
+//! resident data. Over budget, the least-recently-used entry goes first.
+//! Charged bytes are an allocation-by-allocation estimate of what the
+//! cache holds: each entry is charged its own allocations
+//! (`entry_bytes`), and each pin's reverse-index record is charged once,
+//! while any entry still depends on it (`pin_bytes`).
 //!
 //! # Locking
 //!
@@ -39,7 +40,7 @@
 
 use recache_engine::sql::{PredClause, QuerySpec};
 use recache_types::Value;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -121,25 +122,17 @@ struct Entry {
     pins: Vec<(String, String)>,
     /// LRU clock of the last lookup (or the insert).
     last_access: u64,
-    /// The tick this entry is filed under in [`Inner::lru`]: its insert,
-    /// or its last access as of the last eviction pass that reached it.
-    filed_at: u64,
 }
 
-/// Keys are shared (`Arc<str>`) between the entry map, the pin index and
-/// the LRU index, so each key's bytes live once.
+/// Keys are shared (`Arc<str>`) between the entry map and the pin index,
+/// so each key's bytes live once.
 #[derive(Default)]
 struct Inner {
     entries: HashMap<Arc<str>, Entry>,
     /// Reverse index: pinned `(source, signature)` → dependent keys.
     by_pin: HashMap<(String, String), HashSet<Arc<str>>>,
-    /// LRU order: filing tick → key, one record per entry. Lookups only
-    /// stamp `last_access` (O(1) under the lock); eviction re-files a
-    /// record whose entry was touched since it was filed. Ticks are
-    /// unique (every lookup and insert takes a fresh one) and a record
-    /// is never newer than its entry's last access, so a first record
-    /// that is current belongs to the least-recently-used result.
-    lru: BTreeMap<u64, Arc<str>>,
+    /// Charged bytes: every entry's `entry_bytes` plus `pin_bytes` of
+    /// every pin in `by_pin`.
     total_bytes: usize,
     tick: u64,
 }
@@ -152,37 +145,32 @@ impl Inner {
             return false;
         };
         self.total_bytes -= entry.bytes;
-        self.lru.remove(&entry.filed_at);
         for pin in &entry.pins {
             if let Some(keys) = self.by_pin.get_mut(pin) {
                 keys.remove(key);
                 if keys.is_empty() {
                     self.by_pin.remove(pin);
+                    self.total_bytes -= pin_bytes(pin);
                 }
             }
         }
         true
     }
 
-    /// Evicts least-recently-used entries until `total_bytes <= budget`,
-    /// O(log n) per victim plus one re-filing per entry touched since it
-    /// was filed. Returns how many entries were evicted.
+    /// Evicts least-recently-used entries until `total_bytes <= budget`.
+    /// Returns how many entries were evicted.
     fn evict_to(&mut self, budget: usize) -> u64 {
         let mut evicted = 0;
         while self.total_bytes > budget {
-            let Some((filed_at, key)) = self.lru.pop_first() else {
+            let Some(victim) = self
+                .entries
+                .iter()
+                .min_by_key(|(_, e)| e.last_access)
+                .map(|(k, _)| Arc::clone(k))
+            else {
                 break;
             };
-            let entry = self
-                .entries
-                .get_mut(&key)
-                .expect("every filed key is resident");
-            if entry.last_access != filed_at {
-                entry.filed_at = entry.last_access;
-                self.lru.insert(entry.last_access, key);
-                continue;
-            }
-            self.drop_entry(&key);
+            self.drop_entry(&victim);
             evicted += 1;
         }
         evicted
@@ -280,7 +268,7 @@ impl ResultCache {
     ) -> u64 {
         let capacity = self.capacity_bytes();
         let bytes = entry_bytes(&key, &rows, &pins);
-        if bytes > capacity {
+        if bytes + pins.iter().map(pin_bytes).sum::<usize>() > capacity {
             return 0;
         }
         let mut inner = self.lock();
@@ -290,6 +278,9 @@ impl ResultCache {
         inner.drop_entry(&key);
         let key: Arc<str> = key.into();
         for pin in &pins {
+            if !inner.by_pin.contains_key(pin) {
+                inner.total_bytes += pin_bytes(pin);
+            }
             inner
                 .by_pin
                 .entry(pin.clone())
@@ -297,7 +288,6 @@ impl ResultCache {
                 .insert(key.clone());
         }
         inner.total_bytes += bytes;
-        inner.lru.insert(tick, key.clone());
         inner.entries.insert(
             key,
             Entry {
@@ -306,7 +296,6 @@ impl ResultCache {
                 bytes,
                 pins,
                 last_access: tick,
-                filed_at: tick,
             },
         );
         inner.evict_to(capacity)
@@ -320,6 +309,7 @@ impl ResultCache {
         let Some(keys) = inner.by_pin.remove(&pin) else {
             return 0;
         };
+        inner.total_bytes -= pin_bytes(&pin);
         let mut dropped = 0;
         for key in keys {
             if inner.drop_entry(&key) {
@@ -468,35 +458,45 @@ fn literal_token(value: &Value) -> String {
     }
 }
 
+/// Slot bytes per live item of a hash table whose load swings between
+/// 7/16 and 7/8 (std's table doubles when 7/8 full): 1 / average load.
+const SLOT_SLACK: f64 = 1.5;
+
 /// Estimated resident bytes of one entry, allocation by allocation:
 ///
 /// * the shared key (one `Arc<str>`: two counters plus the bytes),
 /// * the result values and their heap payloads,
-/// * the entry's own pin copies, plus per pin the reverse index's copy
-///   of the pin and its dependent-key set (charged as if unshared),
-/// * hash-table slots for the entry and for each pin's key-set member,
-///   at the average load of a table that doubles when 7/8 full,
-/// * the entry's share of the LRU index's B-tree nodes.
+/// * the entry's own pin copies,
+/// * hash-table slots for the entry and for its key in each pin's
+///   dependent-key set.
+///
+/// The pins' reverse-index records are shared by every entry that
+/// depends on them and are charged once each (see [`pin_bytes`]).
+/// `tests/byte_budgets.rs` holds both estimates against real allocations.
 fn entry_bytes(key: &str, rows: &[Value], pins: &[(String, String)]) -> usize {
     use std::mem::size_of;
-    /// Slot bytes per live item of a hash table whose load swings
-    /// between 7/16 and 7/8: 1 / average load.
-    const SLOT_SLACK: f64 = 1.5;
-    /// Smallest hashbrown table (4 buckets of one `Arc<str>` plus 4 + 16
-    /// control bytes): each pin's dependent-key set.
-    const MIN_SET_TABLE: usize = 4 * size_of::<Arc<str>>() + 20;
     let key_bytes = 2 * size_of::<usize>() + key.len();
     let rows_bytes: usize = rows.iter().map(value_bytes).sum();
-    let pin_bytes: usize = pins
+    let pins_bytes: usize = pins
         .iter()
-        .map(|(s, g)| 2 * (size_of::<(String, String)>() + s.len() + g.len()) + MIN_SET_TABLE)
+        .map(|(s, g)| size_of::<(String, String)>() + s.len() + g.len())
         .sum();
     let entry_slot = size_of::<(Arc<str>, Entry)>() + 1;
-    let pin_slots = pins.len()
-        * (size_of::<Arc<str>>() + 1 + size_of::<((String, String), HashSet<Arc<str>>)>() + 1);
-    let slots = (SLOT_SLACK * (entry_slot + pin_slots) as f64) as usize;
-    let lru_bytes = 2 * size_of::<(u64, Arc<str>)>();
-    key_bytes + rows_bytes + pin_bytes + slots + lru_bytes
+    let member_slots = pins.len() * (size_of::<Arc<str>>() + 1);
+    let slots = (SLOT_SLACK * (entry_slot + member_slots) as f64) as usize;
+    key_bytes + rows_bytes + pins_bytes + slots
+}
+
+/// Estimated resident bytes of one pin's reverse-index record, charged
+/// while any entry depends on the pin: the index's copy of the pin, its
+/// hash-table slot, and the smallest dependent-key set table (4 buckets
+/// of one `Arc<str>` plus 4 + 16 control bytes; larger sets grow with
+/// the member slots charged per entry).
+fn pin_bytes((source, signature): &(String, String)) -> usize {
+    use std::mem::size_of;
+    const MIN_SET_TABLE: usize = 4 * size_of::<Arc<str>>() + 20;
+    let slot = size_of::<((String, String), HashSet<Arc<str>>)>() + 1;
+    source.len() + signature.len() + (SLOT_SLACK * slot as f64) as usize + MIN_SET_TABLE
 }
 
 fn value_bytes(value: &Value) -> usize {
@@ -571,7 +571,8 @@ mod tests {
         let big = vec![Value::Str("x".repeat(1600))];
         // Room for k1 and k3 together, but not for all three entries.
         let capacity = entry_bytes("k1", &[Value::Int(1)], std::slice::from_ref(&pin))
-            + entry_bytes("k3", &big, std::slice::from_ref(&pin));
+            + entry_bytes("k3", &big, std::slice::from_ref(&pin))
+            + pin_bytes(&pin);
         let cache = ResultCache::new(ResultCacheConfig {
             enabled: true,
             capacity_bytes: capacity,
@@ -610,114 +611,6 @@ mod tests {
         cache.insert("k2".into(), vec![], 0, vec![("u".into(), "c".into())]);
         assert_eq!(cache.invalidate_source("u"), 2);
         assert!(cache.is_empty());
-    }
-
-    /// The pre-index eviction: a linear `min_by_key` scan over last
-    /// access ticks per victim. The indexed cache must evict the same
-    /// keys in the same order.
-    type Pins = Vec<(String, String)>;
-
-    #[derive(Default)]
-    struct LinearLru {
-        /// Key → (bytes, last access, pins).
-        entries: HashMap<String, (usize, u64, Pins)>,
-        total: usize,
-        tick: u64,
-    }
-
-    impl LinearLru {
-        fn lookup(&mut self, key: &str) -> bool {
-            self.tick += 1;
-            let tick = self.tick;
-            self.entries.get_mut(key).map(|e| e.1 = tick).is_some()
-        }
-
-        fn insert(&mut self, cap: usize, key: &str, rows: &[Value], pins: Pins) -> u64 {
-            let bytes = entry_bytes(key, rows, &pins);
-            if bytes > cap {
-                return 0;
-            }
-            self.tick += 1;
-            if let Some(old) = self.entries.remove(key) {
-                self.total -= old.0;
-            }
-            self.total += bytes;
-            self.entries
-                .insert(key.to_owned(), (bytes, self.tick, pins));
-            let mut evicted = 0;
-            while self.total > cap {
-                let victim = self
-                    .entries
-                    .iter()
-                    .min_by_key(|(_, e)| e.1)
-                    .map(|(k, _)| k.clone())
-                    .expect("over budget implies an entry");
-                self.total -= self.entries.remove(&victim).expect("resident").0;
-                evicted += 1;
-            }
-            evicted
-        }
-
-        fn invalidate_pin(&mut self, pin: &(String, String)) -> u64 {
-            let keys: Vec<String> = self
-                .entries
-                .iter()
-                .filter(|(_, e)| e.2.contains(pin))
-                .map(|(k, _)| k.clone())
-                .collect();
-            for key in &keys {
-                self.total -= self.entries.remove(key).expect("resident").0;
-            }
-            keys.len() as u64
-        }
-    }
-
-    #[test]
-    fn indexed_eviction_matches_the_linear_scan() {
-        // xorshift64: a seeded op sequence without a PRNG dependency.
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let mut next = |bound: u64| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state % bound
-        };
-        let cap = 6 << 10;
-        let cache = ResultCache::new(ResultCacheConfig {
-            enabled: true,
-            capacity_bytes: cap,
-        });
-        let mut model = LinearLru::default();
-        let pin = |i: u64| (format!("t{}", i % 3), format!("sig{i}"));
-        let (mut evictions, mut invalidations) = (0u64, 0u64);
-        for step in 0..4000 {
-            let key = format!("k{}", next(60));
-            match next(10) {
-                0..=3 => assert_eq!(cache.lookup(&key).is_some(), model.lookup(&key)),
-                4..=8 => {
-                    let rows = vec![Value::Str("v".repeat(next(400) as usize))];
-                    let pins: Vec<_> = (0..next(3)).map(|_| pin(next(8))).collect();
-                    let got = cache.insert(key.clone(), rows.clone(), 1, pins.clone());
-                    assert_eq!(got, model.insert(cap, &key, &rows, pins), "step {step}");
-                    evictions += got;
-                }
-                _ => {
-                    let p = pin(next(8));
-                    let got = cache.invalidate_pin(&p.0, &p.1);
-                    assert_eq!(got, model.invalidate_pin(&p), "step {step}");
-                    invalidations += got;
-                }
-            }
-            assert_eq!(cache.total_bytes(), model.total, "step {step}");
-            assert_eq!(cache.len(), model.entries.len(), "step {step}");
-            for key in model.entries.keys() {
-                assert!(cache.probe(key), "step {step}: {key} missing");
-            }
-        }
-        assert!(
-            evictions > 100 && invalidations > 20,
-            "{evictions} evictions, {invalidations} invalidations"
-        );
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use recache::data::gen::tpch;
 use recache::layout::{ColumnStore, RowStore};
 use recache::types::Value;
-use recache::QueryRequest;
+use recache::{QueryRequest, ResultCache, ResultCacheConfig};
 use recache_server::dataset::{serving_session, serving_workload};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -135,5 +135,38 @@ fn result_cache_total_bytes_match_live_bytes() {
             estimate,
             measured,
         );
+    }
+}
+
+#[test]
+fn result_cache_shared_pins_are_charged_once() {
+    // Many entries, few pins: served results over one resident store
+    // share its pin, so the pin's reverse-index record exists once, not
+    // once per entry. Keys and rows are shaped like the serving mix's.
+    let cache = ResultCache::new(ResultCacheConfig {
+        enabled: true,
+        capacity_bytes: 64 << 20,
+    });
+    for pins in [1, 3] {
+        for n in [200, 1500] {
+            cache.clear();
+            for i in 0..n {
+                let key = format!(
+                    "agg:sum(l_extendedprice),count(*),|tab:lineitem,|pred:l_quantity >= n:{i},|join:"
+                );
+                let rows = vec![Value::Float(i as f64), Value::Int(i)];
+                let pin = ("lineitem".to_owned(), format!("l_quantity#{}", i % pins));
+                cache.insert(key, rows, 1, vec![pin]);
+            }
+            let (entries, estimate) = (cache.len(), cache.total_bytes());
+            let before = live();
+            cache.clear();
+            let measured = (before - live()) as usize;
+            assert_within(
+                &format!("result cache with {entries} entries over {pins} pins"),
+                estimate,
+                measured,
+            );
+        }
     }
 }
